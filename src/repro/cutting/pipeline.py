@@ -122,7 +122,6 @@ class CutQAOAPipeline:
                  mixer: str = "x",
                  precision: str | None = None,
                  optimize: str | None = None,
-                 mode: str = "auto",
                  n_workers: int = 2,
                  **simulator_kwargs: Any) -> None:
         if mixer != "x":
@@ -136,7 +135,6 @@ class CutQAOAPipeline:
                                         cut_qubits=cut_qubits,
                                         max_cuts=max_cuts)
         self.assignment = assign_terms(terms, self.spec)
-        self.mode = mode
         self.n_workers = max(1, int(n_workers))
         self.stats = CuttingStats(cut_qubits=self.spec.n_cuts)
 
@@ -213,8 +211,7 @@ class CutQAOAPipeline:
         rows = self._prep_block.shape[0]
         g = np.full((rows, 1), gamma)
         b = np.full((rows, 1), beta)
-        results = self.sim2.engine.simulate_batch(
-            g, b, sv0=self._prep_block, mode=self.mode)
+        results = self.sim2.simulate_qaoa_batch(g, b, sv0=self._prep_block)
         r_table = np.empty((len(self._masks2), rows), dtype=np.float64)
         for s, res in enumerate(results):
             probs = np.asarray(self.sim2.get_probabilities(res),
@@ -272,7 +269,7 @@ def cut_qaoa_expectation(n_qubits: int,
     Builds the fragment pipeline, evaluates the single ``p = 1`` schedule
     and returns ``<γβ|Ĉ|γβ>``.  All keyword arguments are forwarded to
     :class:`CutQAOAPipeline` (``partition``, ``cut_qubits``, ``max_cuts``,
-    ``backend``, ``precision``, ``mode``, backend constructor kwargs, ...).
+    ``backend``, ``precision``, backend constructor kwargs, ...).
     For repeated evaluations — e.g. inside an optimizer loop — construct
     the pipeline once (or use :class:`CutQAOAObjective`) so the fragment
     simulators and variant states are reused.

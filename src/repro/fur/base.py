@@ -9,7 +9,9 @@ The contract:
   precomputation once;
 * ``simulate_qaoa(gammas, betas)`` evolves the initial state through ``p``
   QAOA layers and returns a backend-specific *result* object (the evolved
-  state in whatever memory space the backend uses);
+  state in whatever memory space the backend uses) — it is a one-row call
+  of the shared execution engine, exactly like one row of
+  ``simulate_qaoa_batch``;
 * the ``get_*`` output methods accept the result object and always return CPU
   (NumPy) values, so user code is portable across backends, as emphasized in
   Listings 1–3 of the paper.
@@ -19,14 +21,13 @@ GPU device array, per-rank slices on the virtual cluster) and in how the mixer
 kernels are executed; they share the phase-operator and objective-evaluation
 logic, which is where the precomputed diagonal is reused.
 
-Batched evaluation (``simulate_qaoa_batch`` / ``get_expectation_batch``) is
-orchestrated entirely by the shared execution engine
-(:mod:`repro.fur.engine`): backends that implement the
-:class:`~repro.fur.engine.KernelProvider` protocol get the fused
-block-evolution path, everyone else the looped fallback.  The provider hooks
-(``_stage_block``, ``_apply_phase_block``, ``_apply_mixer_block``,
+Every evaluation (``simulate_qaoa``, ``simulate_qaoa_batch``,
+``get_expectation_batch``) is orchestrated by the shared execution engine
+(:mod:`repro.fur.engine`), which evolves ``(rows, 2^n)`` state blocks
+through compiled plans.  The :class:`~repro.fur.engine.KernelProvider`
+hooks (``_stage_block``, ``_apply_phase_block``, ``_apply_mixer_block``,
 ``_block_expectations``, ...) declared here are the entire per-backend
-surface of that engine.
+surface of that engine; no backend runs a layer loop of its own.
 """
 
 from __future__ import annotations
@@ -205,11 +206,6 @@ class QAOAFastSimulatorBase(abc.ABC):
     backend_name: str = "base"
     #: mixer implemented by this simulator class ("x", "xyring", "xycomplete")
     mixer_name: str = "x"
-    #: whether this class implements the execution engine's
-    #: :class:`~repro.fur.engine.KernelProvider` protocol — providers get the
-    #: fused batched evaluation path; everyone else falls back to the looped
-    #: default (still orchestrated by the engine)
-    supports_fused_engine: bool = False
     #: whether the mixer consumes a ping-pong scratch block (set by the
     #: gemm-grouped X mixers; XY mixers run in place through the workspace)
     _mixer_needs_scratch: bool = False
@@ -239,13 +235,6 @@ class QAOAFastSimulatorBase(abc.ABC):
     #: model then prices mixer sweeps at ~2 streamed passes instead of one
     #: per qubit when ordering the structural passes
     supports_single_pass: bool = False
-    #: whether :meth:`_stage_block` accepts a ``(rows, 2^n)`` *per-row*
-    #: initial-state block in addition to a shared 1-D ``sv0`` — the batched
-    #: evaluation shape of the circuit-cutting fragment pipeline
-    #: (:mod:`repro.cutting`), where every schedule row starts from its own
-    #: basis-initialization variant.  Backends without the flag still serve
-    #: per-row ``sv0`` batches through the engine's looped fallback.
-    supports_batched_sv0: bool = False
 
     def __init__(self, n_qubits: int,
                  terms: Iterable[tuple[float, Iterable[int]]] | None = None,
@@ -279,6 +268,11 @@ class QAOAFastSimulatorBase(abc.ABC):
         #: serving layer evaluates on a thread pool.  Reentrant because the
         #: lazy initializers nest (phase table -> resolved diagonal).
         self._derived_lock = threading.RLock()
+        #: serializes evaluation on this simulator: the engine holds it while
+        #: it drives the provider hooks, and output methods that write shared
+        #: workspaces hold it too, so concurrent calls (serving thread pools,
+        #: user threads) never share per-simulator scratch mid-flight
+        self._exec_lock = threading.RLock()
         #: lazily-constructed execution engine (plan cache lives on it)
         self._execution_engine = None
         self._terms: list[Term] | None = None
@@ -457,19 +451,29 @@ class QAOAFastSimulatorBase(abc.ABC):
         return self._execution_engine
 
     # -- simulation ----------------------------------------------------------
-    @abc.abstractmethod
     def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
                       sv0: np.ndarray | None = None, **kwargs: Any) -> Any:
         """Simulate ``p`` QAOA layers and return a backend-specific result object.
 
-        ``sv0`` optionally overrides the initial state (default ``|+>^n``).
+        Layer ``l`` applies ``exp(-i β_l M) exp(-i γ_l C)``.  ``sv0``
+        optionally overrides the initial state (default ``|+>^n``) and must
+        have shape ``(2^n,)``; the only keyword is ``n_trotters``, the
+        Trotter slices per XY-mixer application (the X mixer's factors
+        commute, so it ignores them).  This is a one-row call of the
+        execution engine — the same path as one row of
+        :meth:`simulate_qaoa_batch`.
         """
+        g, b = validate_angles(gammas, betas)
+        if sv0 is not None and np.shape(sv0) != (self._n_states,):
+            raise ValueError(
+                f"initial state has shape {np.shape(sv0)}, expected ({self._n_states},)"
+            )
+        return self.engine.simulate_batch(g[None], b[None], sv0=sv0, **kwargs)[0]
 
     def simulate_qaoa_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                             betas_batch: Sequence[Sequence[float]] | np.ndarray,
                             sv0: np.ndarray | None = None, *,
                             memory_budget: float | None = None,
-                            mode: str = "auto",
                             optimize: str | None = None,
                             **kwargs: Any) -> list[Any]:
         """Simulate a batch of (γ, β) schedules over the same problem.
@@ -477,31 +481,22 @@ class QAOAFastSimulatorBase(abc.ABC):
         The batches are ``(B, p)`` shaped; entry ``i`` of the returned list is
         the backend result object for schedule ``i``.  ``sv0`` may be a shared
         1-D initial state or a ``(B, 2^n)`` block supplying one initial state
-        per schedule row (the circuit-cutting fragment-variant shape);
-        backends without :attr:`supports_batched_sv0` serve per-row blocks
-        through the looped fallback.  All orchestration is
-        delegated to the shared execution engine: backends implementing the
-        :class:`~repro.fur.engine.KernelProvider` protocol evolve ``(B, 2^n)``
-        state blocks through all layers at once (``memory_budget`` bounds the
-        block scratch by splitting large batches into sub-batches); everyone
-        else gets the looped fallback, which shares the precomputed diagonal,
-        workspaces and device buffers across the batch but holds one state at
-        a time.  ``mode`` forces ``"fused"`` or ``"looped"`` explicitly
-        (``"auto"`` picks fused whenever the backend provides kernels);
-        ``optimize`` overrides the simulator's plan-optimizer level for this
-        call (``"none"`` pins the unrewritten op stream).
+        per schedule row (the circuit-cutting fragment-variant shape).  The
+        shared execution engine evolves ``(B, 2^n)`` state blocks through all
+        layers at once; ``memory_budget`` bounds the block scratch by
+        splitting large batches into sub-batches, and ``optimize`` overrides
+        the simulator's plan-optimizer level for this call (``"none"`` pins
+        the unrewritten op stream).
         """
         return self.engine.simulate_batch(gammas_batch, betas_batch, sv0=sv0,
                                           memory_budget=memory_budget,
-                                          mode=mode, optimize=optimize,
-                                          **kwargs)
+                                          optimize=optimize, **kwargs)
 
     def get_expectation_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                               betas_batch: Sequence[Sequence[float]] | np.ndarray,
                               costs: np.ndarray | CompressedDiagonal | None = None,
                               sv0: np.ndarray | None = None, *,
                               memory_budget: float | None = None,
-                              mode: str = "auto",
                               optimize: str | None = None,
                               **kwargs: Any) -> np.ndarray:
         """Objective values for a batch of schedules, as a length-``B`` array.
@@ -511,13 +506,12 @@ class QAOAFastSimulatorBase(abc.ABC):
         the diagonal resolved to float64 exactly once for the whole batch and
         expectations accumulated in float64 regardless of the state precision
         (the engine-wide policy).  See :meth:`simulate_qaoa_batch` for the
-        fused/looped ``mode`` and plan-optimizer ``optimize`` semantics.
+        ``sv0``, ``memory_budget`` and ``optimize`` semantics.
         """
         return self.engine.expectation_batch(gammas_batch, betas_batch,
                                              costs=costs, sv0=sv0,
                                              memory_budget=memory_budget,
-                                             mode=mode, optimize=optimize,
-                                             **kwargs)
+                                             optimize=optimize, **kwargs)
 
     # -- kernel-provider hooks (engine-driven; see repro.fur.engine) ---------
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
@@ -742,11 +736,11 @@ class QAOAFastSimulatorBase(abc.ABC):
     def _validate_sv0_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         """A ``(rows, 2^n)`` block of initial states at the simulation precision.
 
-        The staging helper behind :attr:`supports_batched_sv0`: ``sv0=None``
-        tiles ``|+>^n``, a 1-D state is validated and tiled across all rows,
-        and a 2-D ``(rows, 2^n)`` array supplies one initial state *per row*
-        (copied at the simulator's complex dtype, never upcast).  The 1-D and
-        ``None`` paths write the block with a single broadcast pass.
+        The staging helper behind the providers' :meth:`_stage_block`:
+        ``sv0=None`` tiles ``|+>^n``, a 1-D state is validated and tiled
+        across all rows, and a 2-D ``(rows, 2^n)`` array supplies one initial
+        state *per row* (copied at the simulator's complex dtype, never
+        upcast).  The 1-D and ``None`` paths write the block in one pass.
         """
         if sv0 is not None and np.ndim(sv0) == 2:
             arr = np.array(sv0, dtype=self._precision.complex_dtype, copy=True)
@@ -756,11 +750,34 @@ class QAOAFastSimulatorBase(abc.ABC):
                     f"expected ({rows}, {self._n_states})"
                 )
             return arr
-        sv = self._validate_sv0(sv0)
         block = np.empty((rows, self._n_states),
                          dtype=self._precision.complex_dtype)
-        np.copyto(block, sv[None, :])
+        if sv0 is None:  # |+>^n written in place: no 2^n temporary state
+            block.fill(1.0 / np.sqrt(self._n_states))
+            return block
+        np.copyto(block, self._validate_sv0(sv0)[None, :])
         return block
+
+    def _stage_slabs(self, sv0: np.ndarray | None, rows: int,
+                     n_slabs: int) -> list[np.ndarray]:
+        """One ``(rows, 2^n / n_slabs)`` block per contiguous index slab.
+
+        The staging of the slab-decomposed providers (per-rank slices,
+        per-shard slabs): ``sv0`` is ``None`` (``|+>^n``), a shared 1-D
+        state or a ``(rows, 2^n)`` block of per-row initial states.
+        """
+        s = self._n_states // n_slabs
+        if sv0 is None:
+            amp = 1.0 / np.sqrt(self._n_states)
+            return [np.full((rows, s), amp, dtype=self._precision.complex_dtype)
+                    for _ in range(n_slabs)]
+        if np.ndim(sv0) == 2:
+            full = self._validate_sv0_block(sv0, rows)
+            return [np.ascontiguousarray(full[:, r * s:(r + 1) * s])
+                    for r in range(n_slabs)]
+        full = self._validate_sv0(sv0)
+        return [np.repeat(full[r * s:(r + 1) * s][None, :], rows, axis=0)
+                for r in range(n_slabs)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{type(self).__name__}(n_qubits={self._n_qubits}, "

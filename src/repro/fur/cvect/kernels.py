@@ -25,7 +25,6 @@ __all__ = [
     "apply_su2_blocked",
     "apply_su2_batch_blocked",
     "furx_all_blocked",
-    "furx_all_batch_blocked",
     "furxy_blocked",
     "furxy_batch_blocked",
     "apply_phase_inplace",
@@ -273,22 +272,6 @@ def apply_su2_batch_blocked(svb: np.ndarray, a_rows: np.ndarray, b_rows: np.ndar
         lo -= np.conj(b_c) * hi
         hi *= np.conj(a_c)
         hi += b_c * tmp
-    return svb
-
-
-def furx_all_batch_blocked(svb: np.ndarray, betas: np.ndarray, n_qubits: int,
-                           workspace: KernelWorkspace) -> np.ndarray:
-    """Blocked batched Algorithm 2: per-row ``exp(-i β_b Σ_i X_i)``, in place."""
-    rows, n_states = _validate_block(svb)
-    if n_states != (1 << n_qubits):
-        raise ValueError(
-            f"state vectors of length {n_states} do not match n={n_qubits}"
-        )
-    betas_arr = np.broadcast_to(np.asarray(betas, dtype=np.float64), (rows,))
-    a_rows = np.cos(betas_arr).astype(svb.dtype)
-    b_rows = (-1j * np.sin(betas_arr)).astype(svb.dtype)
-    for q in range(n_qubits):
-        apply_su2_batch_blocked(svb, a_rows, b_rows, q, workspace)
     return svb
 
 

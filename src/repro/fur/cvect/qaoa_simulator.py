@@ -7,7 +7,7 @@ reused across layers and across repeated objective evaluations, which is the
 dominant usage pattern during QAOA parameter optimization (Fig. 1 of the
 paper).
 
-Batched evaluation is orchestrated by the shared execution engine
+Every evaluation is orchestrated by the shared execution engine
 (:mod:`repro.fur.engine`); this module only implements the
 :class:`~repro.fur.engine.KernelProvider` hooks over the zero-allocation
 batched blocked kernels.
@@ -15,22 +15,18 @@ batched blocked kernels.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from ..base import QAOAFastSimulatorBase, validate_angles
+from ..base import QAOAFastSimulatorBase
 from .kernels import (
     DEFAULT_BLOCK_SIZE,
     KernelWorkspace,
     apply_phase_batch_inplace,
-    apply_phase_inplace,
     expectation_batch_inplace,
     expectation_inplace,
-    furx_all_blocked,
     furxy_batch_blocked,
-    furxy_blocked,
     probabilities_inplace,
 )
 from ..python.furx import furx_all_batch, furx_phase_all_batch
@@ -45,10 +41,9 @@ __all__ = [
 
 
 class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
-    """Shared blocked-kernel simulation loop; subclasses supply the mixer."""
+    """Shared blocked-kernel provider; subclasses supply the mixer."""
 
     backend_name = "c"
-    supports_fused_engine = True
     supports_staged_phase = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
@@ -71,28 +66,7 @@ class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
         """The preallocated scratch buffers used by the blocked kernels."""
         return self._workspace
 
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        raise NotImplementedError
-
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> np.ndarray:
-        """Evolve through ``p`` QAOA layers with blocked in-place kernels."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        sv = self._validate_sv0(sv0)
-        phase_costs = self._phase_costs()
-        for gamma, beta in zip(g, b):
-            apply_phase_inplace(sv, phase_costs, float(gamma), self._workspace)
-            self._apply_mixer(sv, float(beta), n_trotters)
-        return sv
-
     # -- kernel-provider hooks (driven by repro.fur.engine) -------------------
-    supports_batched_sv0 = True
-
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         return self._validate_sv0_block(sv0, rows)
 
@@ -133,7 +107,8 @@ class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
                         preserve_state: bool = True, **kwargs: Any) -> float:
         """Blocked expectation value ``Σ_x c[x]|ψ_x|²`` (no 2^n temporary)."""
         resolved = self._costs_cache if costs is None else self._resolve_costs(costs)
-        return expectation_inplace(np.asarray(result), resolved, self._workspace)
+        with self._exec_lock:  # the reduction scratch is the shared workspace
+            return expectation_inplace(np.asarray(result), resolved, self._workspace)
 
 
 class QAOAFURXSimulatorC(_QAOAFURCSimulatorBase):
@@ -144,9 +119,6 @@ class QAOAFURXSimulatorC(_QAOAFURCSimulatorBase):
     supports_fused_phase_mixer = True
     supports_fused_mixer_expectation = True
     mixer_self_commutes = True
-
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        furx_all_blocked(sv, beta, self._n_qubits, self._workspace)
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
@@ -192,11 +164,6 @@ class QAOAFURXYRingSimulatorC(_QAOAFURCSimulatorBase):
 
     mixer_name = "xyring"
 
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            for i, j in ring_edges(self._n_qubits):
-                furxy_blocked(sv, beta / n_trotters, i, j, self._workspace)
-
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
         for _ in range(n_trotters):
@@ -208,11 +175,6 @@ class QAOAFURXYCompleteSimulatorC(_QAOAFURCSimulatorBase):
     """QAOA with the complete-graph XY mixer (blocked CPU kernels)."""
 
     mixer_name = "xycomplete"
-
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            for i, j in complete_edges(self._n_qubits):
-                furxy_blocked(sv, beta / n_trotters, i, j, self._workspace)
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:

@@ -4,8 +4,8 @@ Before this module existed, the orchestration of batched QAOA evaluation —
 layer sequencing, phase-table reuse, memory-budgeted sub-batch splitting,
 scratch-block lifetime and the float64 accumulation policy — was
 re-implemented once per backend family (a ``FusedBatchEngineMixin`` plus three
-per-backend fused loops), and the distributed backends were left on the slow
-looped default.  The engine extracts that orchestration into exactly one
+per-backend fused loops), and the distributed backends evaluated one
+schedule at a time.  The engine extracts that orchestration into exactly one
 place:
 
 * a ``(p, mixer, precision, n_trotters, batch-memory-budget)`` tuple is
@@ -24,10 +24,12 @@ place:
   release it) — a new backend, mixer or device is a ~100-line kernel
   provider, never a fourth copy of the orchestration loop.
 
-The engine also owns the *looped* path (one :meth:`simulate_qaoa` call per
-schedule) used by backends that do not implement the provider protocol, and
-exposed explicitly via ``mode="looped"`` for benchmarking the fused engines
-against their baseline.
+The engine is the only evaluation path: a single-schedule
+:meth:`~repro.fur.base.QAOAFastSimulatorBase.simulate_qaoa` call is a
+one-row :meth:`ExecutionEngine.simulate_batch`, so no backend keeps a layer
+loop of its own.  Execution holds the owning simulator's execution lock,
+because providers keep per-simulator scratch (workspaces, gather and swap
+buffers, shard layouts) that concurrent calls would otherwise share.
 
 After a plan's base op list is built, the optimizer pass pipeline
 (:mod:`repro.fur.rewrite`) rewrites it: phase sweeps fuse into the following
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
@@ -83,11 +86,7 @@ __all__ = [
     "EngineStats",
     "KernelProvider",
     "ExecutionEngine",
-    "EXECUTION_MODES",
 ]
-
-#: Accepted values of the ``mode`` argument of the batched entry points.
-EXECUTION_MODES = ("auto", "fused", "looped")
 
 
 def _plan_key(p: int, n_trotters: int, memory_budget: float | None,
@@ -160,6 +159,7 @@ class EngineStats:
     kernel_compile_time_s: float = 0.0
     blocks_executed: int = 0
     rows_executed: int = 0
+    #: always 0 (there is no looped path); kept because benchmark reports read it
     looped_evaluations: int = 0
     #: FusedPhaseMixerOp executions (fused ops are counted distinctly from
     #: the split phase/mixer sweeps so rewrite wins are visible in reports)
@@ -246,15 +246,13 @@ class EngineStats:
 class KernelProvider(Protocol):
     """The per-backend surface the execution engine drives.
 
-    A backend opts into the fused engine by setting
-    ``supports_fused_engine = True`` on its simulator class and implementing
-    these hooks.  ``block`` is an opaque backend object — a host ``(rows,
-    2^n)`` ndarray, a device-resident block, or a list of per-rank slice
-    blocks for the distributed families; the engine never looks inside it.
+    Every simulator backend implements these hooks.  ``block`` is an opaque
+    backend object — a host ``(rows, 2^n)`` ndarray, a device-resident
+    block, or a list of per-rank slice blocks for the distributed families;
+    the engine never looks inside it.  ``_stage_block`` accepts ``sv0=None``
+    (``|+>^n``), a shared 1-D state or a ``(rows, 2^n)`` per-row block.
     """
 
-    #: providers set this to ``True``; the base class default is ``False``
-    supports_fused_engine: bool
     #: whether the mixer consumes a ping-pong scratch block
     _mixer_needs_scratch: bool
     #: whether :meth:`_apply_phase_mixer_block` is implemented (gates the
@@ -274,7 +272,8 @@ class KernelProvider(Protocol):
         ...
 
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> Any:
-        """Materialize (and, for device backends, upload) a ``rows``-row block."""
+        """Materialize (and, for device backends, upload) a ``rows``-row block
+        from ``None``, a shared 1-D state or a ``(rows, 2^n)`` per-row block."""
         ...
 
     def _mixer_scratch(self, block: Any) -> Any:
@@ -339,17 +338,29 @@ class ExecutionEngine:
     lock: the serving layer (:mod:`repro.serve`) drives engines from a thread
     pool, and an unguarded racing first compile would double-compile the plan
     and tear the stats bookkeeping.  Plan compilation is single-flight (the
-    lock is held across the compile); block execution itself never holds it.
+    lock is held across the compile).  Block execution holds the simulator's
+    execution lock instead, so concurrent calls on one simulator run one at
+    a time and never share its scratch buffers mid-flight.
     """
 
     def __init__(self, simulator: QAOAFastSimulatorBase) -> None:
-        self._sim = simulator
+        # Weak: the simulator owns its engine, so a strong back-reference
+        # would make every simulator a reference cycle whose 2^n-sized
+        # arrays only the cyclic garbage collector frees.
+        self._sim_ref = weakref.ref(simulator)
         self._plans: dict[tuple, ExecutionPlan] = {}
         #: guards the plan cache and stats (reentrant: compile records stats)
         self._lock = threading.RLock()
         self.stats = EngineStats()
 
     # -- plan compilation ----------------------------------------------------
+    @property
+    def _sim(self) -> QAOAFastSimulatorBase:
+        sim = self._sim_ref()
+        if sim is None:
+            raise ReferenceError("the simulator owning this engine no longer exists")
+        return sim
+
     @property
     def simulator(self) -> QAOAFastSimulatorBase:
         """The simulator this engine drives."""
@@ -418,14 +429,13 @@ class ExecutionEngine:
                 ops.append(ExpectationOp())
             ops = tuple(ops)
             reports: tuple[RewriteReport, ...] = ()
-            if optimize != "none" and self._sim.supports_fused_engine:
+            if optimize != "none":
                 ops, reports = run_passes(ops, self._sim, stage="compile")
                 self.stats.record_rewrites(reports)
             # Resolving the phase tables here (rather than per sub-batch) makes
             # the first compile pay the one-time unique-value factorization; the
             # simulator-level cache makes subsequent compiles near-free.
-            tables = (self._sim._engine_phase_tables()
-                      if self._sim.supports_fused_engine else None)
+            tables = self._sim._engine_phase_tables()
             plan = ExecutionPlan(
                 p=int(p),
                 mixer=self._sim.mixer_name,
@@ -444,56 +454,27 @@ class ExecutionEngine:
             self.stats.compile_time_s += plan.compile_time_s
             return plan
 
-    # -- mode resolution -----------------------------------------------------
-    def _resolve_mode(self, mode: str) -> str:
-        if mode not in EXECUTION_MODES:
-            raise ValueError(
-                f"unknown execution mode {mode!r}; expected one of {EXECUTION_MODES}"
-            )
-        if mode == "auto":
-            return "fused" if self._sim.supports_fused_engine else "looped"
-        if mode == "fused" and not self._sim.supports_fused_engine:
-            raise ValueError(
-                f"backend {self._sim.backend_name!r} does not implement the "
-                "fused kernel-provider protocol; use mode='looped' or 'auto'"
-            )
-        return mode
-
-    def _resolve_sv0(self, sv0: np.ndarray | None, batch: int,
-                     mode: str) -> tuple[np.ndarray | None, bool, str]:
-        """Normalize ``sv0`` and pick the execution path it can ride.
-
-        Returns ``(sv0, per_row, resolved_mode)``: ``per_row`` is true when
-        ``sv0`` is a ``(B, 2^n)`` block carrying one initial state per
-        schedule row.  Providers that do not advertise
-        ``supports_batched_sv0`` serve per-row blocks through the looped
-        fallback under ``mode="auto"``; an explicit ``mode="fused"`` request
-        they cannot honour raises instead of silently degrading.
-        """
-        resolved = self._resolve_mode(mode)
+    # -- argument resolution -------------------------------------------------
+    @staticmethod
+    def _resolve_sv0(sv0: np.ndarray | None,
+                     batch: int) -> tuple[np.ndarray | None, bool]:
+        """Normalize ``sv0``; ``per_row`` is true for a ``(B, 2^n)`` block
+        carrying one initial state per schedule row."""
         if sv0 is None:
-            return None, False, resolved
+            return None, False
         arr = np.asarray(sv0)
         if arr.ndim != 2:
-            return arr, False, resolved
+            return arr, False
         if arr.shape[0] != batch:
             raise ValueError(
                 f"per-row initial-state block has {arr.shape[0]} rows for a "
                 f"batch of {batch} schedules"
             )
-        if resolved == "fused" and not self._sim.supports_batched_sv0:
-            if mode == "fused":
-                raise ValueError(
-                    f"backend {self._sim.backend_name!r} does not support "
-                    "per-row initial-state blocks on the fused path; use "
-                    "mode='looped' or 'auto'"
-                )
-            resolved = "looped"
-        return arr, True, resolved
+        return arr, True
 
     @staticmethod
-    def _fused_kwargs(kwargs: dict) -> int:
-        """Extract ``n_trotters`` from the fused path's kwargs, reject the rest."""
+    def _n_trotters(kwargs: dict) -> int:
+        """Extract ``n_trotters`` from the call's kwargs, reject the rest."""
         n_trotters = kwargs.pop("n_trotters", 1)
         if kwargs:
             raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
@@ -511,7 +492,7 @@ class ExecutionEngine:
         exactly when it is zero across the *whole* batch, so every sub-batch
         shares the specialized sequence.
         """
-        if plan.optimize == "none" or not self._sim.supports_fused_engine:
+        if plan.optimize == "none":
             return plan.ops
         ops, reports = run_passes(plan.ops, self._sim, gammas=g, betas=b,
                                   stage="execute")
@@ -602,7 +583,6 @@ class ExecutionEngine:
     def simulate_batch(self, gammas_batch, betas_batch,
                        sv0: np.ndarray | None = None, *,
                        memory_budget: float | None = None,
-                       mode: str = "auto",
                        optimize: str | None = None, **kwargs: Any) -> list[Any]:
         """Evolve a batch of schedules; one backend result object per schedule.
 
@@ -613,30 +593,23 @@ class ExecutionEngine:
         """
         require_capability(self._sim, "statevector")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
-        sv0, per_row, resolved = self._resolve_sv0(sv0, g.shape[0], mode)
-        if resolved == "looped":
-            with self._lock:
-                self.stats.looped_evaluations += g.shape[0]
-            return [self._sim.simulate_qaoa(
-                        gi, bi, sv0=sv0[i] if per_row else sv0, **kwargs)
-                    for i, (gi, bi) in enumerate(zip(g, b))]
-        n_trotters = self._fused_kwargs(kwargs)
-        plan = self.plan(g.shape[1], n_trotters=n_trotters,
+        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
+        plan = self.plan(g.shape[1], n_trotters=self._n_trotters(kwargs),
                          memory_budget=memory_budget, reduce=False,
                          optimize=optimize)
         ops = self._batch_ops(plan, g, b)
         results: list[Any] = []
-        for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-            block, _ = self._run_ops(plan, ops, g[r0:r1], b[r0:r1],
-                                     sv0[r0:r1] if per_row else sv0, None)
-            results.extend(self._sim._block_results(block))
+        with self._sim._exec_lock:
+            for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
+                block, _ = self._run_ops(plan, ops, g[r0:r1], b[r0:r1],
+                                         sv0[r0:r1] if per_row else sv0, None)
+                results.extend(self._sim._block_results(block))
         return results
 
     def expectation_batch(self, gammas_batch, betas_batch,
                           costs: np.ndarray | CompressedDiagonal | None = None,
                           sv0: np.ndarray | None = None, *,
                           memory_budget: float | None = None,
-                          mode: str = "auto",
                           optimize: str | None = None, **kwargs: Any) -> np.ndarray:
         """Objective values for a batch of schedules, as a length-``B`` array.
 
@@ -648,33 +621,23 @@ class ExecutionEngine:
         require_capability(self._sim, "expectation")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
         resolved_costs = self._sim._resolve_costs(costs)
-        sv0, per_row, resolved = self._resolve_sv0(sv0, g.shape[0], mode)
-        if resolved == "looped":
-            with self._lock:
-                self.stats.looped_evaluations += g.shape[0]
-            out = np.empty(g.shape[0], dtype=np.float64)
-            for i, (gi, bi) in enumerate(zip(g, b)):
-                result = self._sim.simulate_qaoa(
-                    gi, bi, sv0=sv0[i] if per_row else sv0, **kwargs)
-                out[i] = self._sim.get_expectation(result, costs=resolved_costs,
-                                                  preserve_state=False)
-            return out
-        n_trotters = self._fused_kwargs(kwargs)
-        plan = self.plan(g.shape[1], n_trotters=n_trotters,
+        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
+        plan = self.plan(g.shape[1], n_trotters=self._n_trotters(kwargs),
                          memory_budget=memory_budget, reduce=True,
                          optimize=optimize)
         ops = self._batch_ops(plan, g, b)
         out = np.empty(g.shape[0], dtype=np.float64)
-        staged = self._sim._stage_batch_costs(resolved_costs)
-        try:
-            for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-                block, values = self._run_ops(plan, ops, g[r0:r1], b[r0:r1],
-                                              sv0[r0:r1] if per_row else sv0,
-                                              staged)
-                try:
-                    out[r0:r1] = values
-                finally:
-                    self._sim._release_block(block)
-        finally:
-            self._sim._release_batch_costs(staged)
+        with self._sim._exec_lock:
+            staged = self._sim._stage_batch_costs(resolved_costs)
+            try:
+                for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
+                    block, values = self._run_ops(
+                        plan, ops, g[r0:r1], b[r0:r1],
+                        sv0[r0:r1] if per_row else sv0, staged)
+                    try:
+                        out[r0:r1] = values
+                    finally:
+                        self._sim._release_block(block)
+            finally:
+                self._sim._release_batch_costs(staged)
         return out

@@ -41,6 +41,7 @@ import subprocess
 import tempfile
 import threading
 import time
+import warnings
 from typing import Any
 
 import numpy as np
@@ -440,19 +441,41 @@ def _cache_dir() -> str:
         return tempfile.mkdtemp(prefix="repro-jit-")
 
 
+def _library_path() -> str:
+    """Cache path of the shared object built from the embedded source."""
+    tag = hashlib.sha256(_c_source().encode()).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"libreprojit-{tag}.so")
+
+
+def _open_clib(lib_path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(lib_path)
+    _declare_argtypes(lib)
+    return lib
+
+
 def _build_clib() -> ctypes.CDLL:
-    """Compile the embedded source (once per machine) and load it."""
+    """Compile the embedded source (once per machine) and load it.
+
+    A cached library that fails to load (a truncated or corrupted file) is
+    rebuilt once, with a :class:`RuntimeWarning` naming the file.
+    """
     global _c_build_seconds, _c_compiler
     source = _c_source()
-    tag = hashlib.sha256(source.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    lib_path = os.path.join(cache, f"libreprojit-{tag}.so")
+    lib_path = _library_path()
+    if os.path.exists(lib_path):
+        try:
+            return _open_clib(lib_path)
+        except (OSError, AttributeError) as exc:
+            warnings.warn(f"cached jit kernel library {lib_path} failed to "
+                          f"load ({exc}); rebuilding it", RuntimeWarning,
+                          stacklevel=2)
+            os.remove(lib_path)
     if not os.path.exists(lib_path):
         compiler = _find_compiler()
         if compiler is None:
             raise RuntimeError("no C compiler found (tried cc, gcc, clang)")
         _c_compiler = compiler
-        src_path = os.path.join(cache, f"reprojit-{tag}.c")
+        src_path = lib_path[:-len(".so")] + ".c"
         with open(src_path, "w") as fh:
             fh.write(source)
         tmp_path = f"{lib_path}.{os.getpid()}.tmp"
@@ -470,9 +493,7 @@ def _build_clib() -> ctypes.CDLL:
             )
         os.replace(tmp_path, lib_path)  # atomic under concurrent builds
         _c_build_seconds = time.perf_counter() - start
-    lib = ctypes.CDLL(lib_path)
-    _declare_argtypes(lib)
-    return lib
+    return _open_clib(lib_path)
 
 
 def _declare_argtypes(lib: ctypes.CDLL) -> None:
@@ -547,12 +568,32 @@ def active_path() -> str:
                 break
         else:
             _active_path = "numpy"
+        requested = forced if forced in KNOWN_PATHS else _expected_rung()
+        if KNOWN_PATHS.index(_active_path) > KNOWN_PATHS.index(requested):
+            reason = f" ({_clib_error})" if _clib_error is not None else ""
+            warnings.warn(f"jit kernels run on the {_active_path!r} path, below "
+                          f"the requested {requested!r} rung{reason}",
+                          RuntimeWarning, stacklevel=2)
     return _active_path
 
 
+def _expected_rung() -> str:
+    """The rung ``auto`` should reach on this machine: numba when it imports,
+    else ``cc`` when a compiler or a cached library exists, else numpy."""
+    if NUMBA_AVAILABLE:
+        return "numba"
+    if _find_compiler() is not None or os.path.exists(_library_path()):
+        return "cc"
+    return "numpy"
+
+
 def _reset_path_cache() -> None:
-    """Forget the resolved path (test hook, re-reads REPRO_JIT_PATH)."""
-    global _active_path
+    """Forget the resolved path and the loaded library (test hook: re-reads
+    ``REPRO_JIT_PATH`` and the library cache directory)."""
+    global _active_path, _clib, _clib_error
+    with _clib_lock:
+        _clib = None
+        _clib_error = None
     _active_path = None
 
 

@@ -17,12 +17,11 @@ shared-object build of the C path) and books the wall-clock seconds into
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from ..base import QAOAFastSimulatorBase, validate_angles
+from ..base import QAOAFastSimulatorBase
 from ..python.qaoa_simulator import staged_phase_block
 from . import kernels
 
@@ -37,7 +36,6 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
     """Shared provider plumbing; subclasses supply the mixer kernel."""
 
     backend_name = "jit"
-    supports_fused_engine = True
     supports_staged_phase = True
     supports_fused_phase_mixer = True
 
@@ -49,32 +47,7 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
         if spent:
             self.engine.stats.kernel_compile_time_s += spent
 
-    def _mixer_rows(self, block: np.ndarray, betas: np.ndarray,
-                    n_trotters: int) -> None:
-        raise NotImplementedError
-
-    # -- looped evaluation ---------------------------------------------------
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> np.ndarray:
-        """Evolve one schedule through ``p`` layers (1-row kernel calls)."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        self._ensure_kernels()
-        sv = self._validate_sv0(sv0)
-        block = sv.reshape(1, -1)
-        costs = self._phase_costs()
-        for gamma, beta in zip(g, b):
-            kernels.phase_block(block, np.array([float(gamma)]), costs=costs)
-            self._mixer_rows(block, np.array([float(beta)]), n_trotters)
-        return sv
-
     # -- kernel-provider hooks (driven by repro.fur.engine) ------------------
-    supports_batched_sv0 = True
-
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         return self._validate_sv0_block(sv0, rows)
 
@@ -121,13 +94,9 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
     mixer_self_commutes = True
     supports_single_pass = True
 
-    def _mixer_rows(self, block: np.ndarray, betas: np.ndarray,
-                    n_trotters: int) -> None:
-        # X-mixer factors commute: Trotterization is exact and unused.
-        kernels.furx_block(block, betas)
-
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
+        # X-mixer factors commute: Trotterization is exact and unused.
         self._ensure_kernels()
         kernels.furx_block(block, betas)
 
@@ -156,11 +125,6 @@ class _QAOAFURXYJITSimulatorBase(_QAOAFURJITSimulatorBase):
     """Shared XY plumbing (ordered-edge butterflies, Trotterized)."""
 
     _xy_kind = "ring"
-
-    def _mixer_rows(self, block: np.ndarray, betas: np.ndarray,
-                    n_trotters: int) -> None:
-        kernels.furxy_block(block, None, betas, kind=self._xy_kind,
-                            n_trotters=n_trotters)
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:

@@ -32,7 +32,6 @@ an SPMD entry point compatible with
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
@@ -40,18 +39,16 @@ from typing import Any
 import numpy as np
 
 from ...parallel.collectives import ALLTOALL_ALGORITHMS, TrafficTrace, alltoall
-from ..base import QAOAFastSimulatorBase, validate_angles
+from ..base import QAOAFastSimulatorBase
 from ..cvect.kernels import (
     DEFAULT_BLOCK_SIZE,
     KernelWorkspace,
     apply_phase_batch_inplace,
-    apply_phase_inplace,
     apply_su2_batch_blocked,
-    apply_su2_blocked,
     expectation_batch_inplace,
 )
 from ..diagonal import build_phase_table, precompute_cost_diagonal_slice
-from ..python.furx import su2_x_rotation, su2_x_rotation_batch
+from ..python.furx import su2_x_rotation_batch
 
 __all__ = [
     "DistributedStateVector",
@@ -87,11 +84,11 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
     single-address-space families: local phase and SU(2) sweeps are batched
     across all schedules per rank, and the global-qubit communication step is
     batched per strategy (one larger exchange instead of one per schedule
-    where the algorithm allows it).
+    where the algorithm allows it).  A single-schedule ``simulate_qaoa`` is
+    a one-row block.
     """
 
     mixer_name = "x"
-    supports_fused_engine = True
     supports_fused_phase_mixer = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
@@ -170,34 +167,6 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
             for r in range(self._n_ranks):
                 fn(r)
 
-    def _initial_slices(self, sv0: np.ndarray | None) -> list[np.ndarray]:
-        s = self.local_states
-        if sv0 is None:
-            amp = 1.0 / np.sqrt(self._n_states)
-            return [np.full(s, amp, dtype=self._precision.complex_dtype)
-                    for _ in range(self._n_ranks)]
-        full = self._validate_sv0(sv0)
-        return [np.array(full[r * s:(r + 1) * s], copy=True) for r in range(self._n_ranks)]
-
-    def _apply_phase(self, slices: list[np.ndarray], gamma: float) -> None:
-        def work(r: int) -> None:
-            apply_phase_inplace(slices[r], self._phase_cost_slices[r], gamma,
-                                self._workspace[r])
-
-        self._map_ranks(work)
-
-    def _apply_local_mixer(self, slices: list[np.ndarray], a: complex, b: complex) -> None:
-        """Rotations on the local qubits 0 … n−k−1 (Algorithm 4, lines 2–4)."""
-        def work(r: int) -> None:
-            for q in range(self.n_local_qubits):
-                apply_su2_blocked(slices[r], a, b, q, self._workspace[r])
-
-        self._map_ranks(work)
-
-    def _apply_global_mixer(self, slices: list[np.ndarray], a: complex, b: complex) -> None:
-        """Rotations on the k global qubits — strategy-specific (communication)."""
-        raise NotImplementedError
-
     # -- kernel-provider hooks (driven by repro.fur.engine) ----------------------------
     def _engine_phase_tables(self) -> tuple:
         """Per-rank unique-value phase tables over the local diagonal slices.
@@ -217,14 +186,7 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
 
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> list[np.ndarray]:
         """Materialize one ``(rows, local_states)`` block per rank."""
-        s = self.local_states
-        if sv0 is None:
-            amp = 1.0 / np.sqrt(self._n_states)
-            return [np.full((rows, s), amp, dtype=self._precision.complex_dtype)
-                    for _ in range(self._n_ranks)]
-        full = self._validate_sv0(sv0)
-        return [np.repeat(full[r * s:(r + 1) * s][None, :], rows, axis=0)
-                for r in range(self._n_ranks)]
+        return self._stage_slabs(sv0, rows, self._n_ranks)
 
     def _apply_phase_block(self, block: list[np.ndarray], gammas: np.ndarray,
                            plan: Any) -> None:
@@ -335,22 +297,6 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
             for i in range(rows)
         ]
 
-    # -- simulation -------------------------------------------------------------------
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, **kwargs: Any) -> DistributedStateVector:
-        """Evolve the distributed state through p QAOA layers."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        g, b_angles = validate_angles(gammas, betas)
-        slices = self._initial_slices(sv0)
-        for gamma, beta in zip(g, b_angles):
-            self._apply_phase(slices, float(gamma))
-            a, b = su2_x_rotation(float(beta))
-            self._apply_local_mixer(slices, a, b)
-            if self._k_global > 0:
-                self._apply_global_mixer(slices, a, b)
-        return DistributedStateVector(slices=slices, n_qubits=self._n_qubits)
-
     # -- output methods ------------------------------------------------------------------
     def get_statevector(self, result: DistributedStateVector, *, mpi_gather: bool = True,
                         **kwargs: Any) -> np.ndarray | list[np.ndarray]:
@@ -446,24 +392,6 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
                          block_size=block_size, parallel_local=parallel_local,
                          precision=precision, optimize=optimize)
 
-    def _apply_global_mixer(self, slices: list[np.ndarray], a: complex, b: complex) -> None:
-        # First Alltoall: transpose global and (top-k local) qubits.
-        new_slices, trace = alltoall(slices, self.alltoall_algorithm)
-        self.traffic_log.append(trace)
-        for r in range(self._n_ranks):
-            slices[r][:] = new_slices[r]
-        # Rotate the previously-global qubits, now at local positions d = q − k.
-        def work(r: int) -> None:
-            for q in range(self._n_qubits - self._k_global, self._n_qubits):
-                apply_su2_blocked(slices[r], a, b, q - self._k_global, self._workspace[r])
-
-        self._map_ranks(work)
-        # Second Alltoall: restore the original qubit ordering.
-        new_slices, trace = alltoall(slices, self.alltoall_algorithm)
-        self.traffic_log.append(trace)
-        for r in range(self._n_ranks):
-            slices[r][:] = new_slices[r]
-
     def _alltoall_block(self, block: list[np.ndarray]) -> None:
         """One Alltoall per schedule row, written back into the block in place."""
         for i in range(block[0].shape[0]):
@@ -536,20 +464,6 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
 
     backend_name = "cusvmpi"
 
-    def _apply_global_mixer(self, slices: list[np.ndarray], a: complex, b: complex) -> None:
-        n_local = self.n_local_qubits
-        half = 1 << (n_local - 1)
-        trace = TrafficTrace()
-        for j in range(self._k_global):
-            self._swap_global_with_top_local(slices, j, half, trace)
-            # The global qubit now occupies the top local position; rotate it.
-            def work(r: int) -> None:
-                apply_su2_blocked(slices[r], a, b, n_local - 1, self._workspace[r])
-
-            self._map_ranks(work)
-            self._swap_global_with_top_local(slices, j, half, trace)
-        self.traffic_log.append(trace)
-
     def _apply_global_mixer_batch(self, block: list[np.ndarray],
                                   a_rows: np.ndarray, b_rows: np.ndarray,
                                   coalesce: bool = False) -> None:
@@ -558,8 +472,8 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
         The half-slice exchange operates on the state axis of the whole
         ``(rows, local_states)`` block, so every global qubit costs one
         pairwise exchange for *all* schedules at once (rows-independent
-        message count — the batched win over the looped default) and one
-        batched SU(2) sweep on the top local qubit.  ``coalesce`` is
+        message count — the batched win over one exchange per schedule) and
+        one batched SU(2) sweep on the top local qubit.  ``coalesce`` is
         accepted for signature compatibility and ignored: this strategy's
         exchange is already block-coalesced by construction.
         """
@@ -581,11 +495,8 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
     def _swap_global_with_top_local(self, slices: list[np.ndarray], global_bit: int,
                                     half: int, trace: TrafficTrace) -> None:
         """Pairwise exchange implementing the index swap of rank bit ``global_bit``
-        with the top local qubit.
-
-        ``slices`` may hold 1-D per-rank state slices (the looped path) or
-        2-D ``(rows, local_states)`` blocks (the fused batched path) — the
-        exchange always acts on the trailing state axis.
+        with the top local qubit, on the state axis of every rank's
+        ``(rows, local_states)`` block.
         """
         for r in range(self._n_ranks):
             partner = r ^ (1 << global_bit)

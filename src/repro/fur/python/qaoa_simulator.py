@@ -11,8 +11,9 @@ the constructor, via the base class), and each layer applies
 The three classes differ only in the mixer (transverse-field X, XY-ring,
 XY-complete), mirroring QOKit's simulator families.
 
-Batched evaluation is orchestrated by the shared execution engine
-(:mod:`repro.fur.engine`); this module only implements the
+Every evaluation, single-schedule ``simulate_qaoa`` included, is
+orchestrated by the shared execution engine (:mod:`repro.fur.engine`); this
+module only implements the
 :class:`~repro.fur.engine.KernelProvider` hooks — a ``(rows, 2^n)`` host
 block, a vectorized batched phase sweep (unique-value phase table when the
 diagonal is repetitive, chunked direct ``exp`` otherwise) and the batched
@@ -23,14 +24,13 @@ accumulation policy live in the engine, not here.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from ..base import QAOAFastSimulatorBase, validate_angles
-from .furx import furx_all, furx_all_batch, furx_phase_all_batch
-from .furxy import furxy_complete, furxy_complete_batch, furxy_ring, furxy_ring_batch
+from ..base import QAOAFastSimulatorBase
+from .furx import furx_all_batch, furx_phase_all_batch
+from .furxy import furxy_complete_batch, furxy_ring_batch
 
 __all__ = [
     "QAOAFURXSimulator",
@@ -44,61 +44,12 @@ _BATCH_PHASE_CHUNK: int = 1 << 20
 
 
 class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
-    """Shared host-NumPy simulation loop; subclasses supply the mixer."""
+    """Shared host-NumPy kernel provider; subclasses supply the mixer."""
 
     backend_name = "python"
-    supports_fused_engine = True
     supports_staged_phase = True
 
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        raise NotImplementedError
-
-    def _apply_phase(self, sv: np.ndarray, gamma: float) -> None:
-        """Phase operator: ``sv[x] *= exp(-i γ c[x])`` (Algorithm 3, line 4).
-
-        Uses the per-simulator resolved-diagonal cache: for a
-        :class:`~repro.fur.diagonal.CompressedDiagonal` problem the 2^n float
-        vector is decompressed exactly once, not once per layer.  The phase
-        factors are evaluated at the state's precision (float32 costs with a
-        weak complex scalar yield complex64 factors for single precision).
-        """
-        sv *= np.exp(self._phase_costs() * (-1j * gamma))
-
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> np.ndarray:
-        """Evolve the initial state through ``p`` QAOA layers.
-
-        Parameters
-        ----------
-        gammas, betas:
-            The QAOA angles (equal length ``p``); layer ``l`` applies
-            ``exp(-i β_l M) exp(-i γ_l C)``.
-        sv0:
-            Optional initial state (defaults to ``|+>^n``).
-        n_trotters:
-            Number of Trotter slices used per mixer application by the XY
-            mixers (ignored by the X mixer, whose factors commute exactly).
-
-        Returns
-        -------
-        numpy.ndarray
-            The evolved state vector (the backend's *result* object).
-        """
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        sv = self._validate_sv0(sv0)
-        for gamma, beta in zip(g, b):
-            self._apply_phase(sv, float(gamma))
-            self._apply_mixer(sv, float(beta), n_trotters)
-        return sv
-
     # -- kernel-provider hooks (driven by repro.fur.engine) -------------------
-    supports_batched_sv0 = True
-
     #: lazily-allocated phase gather buffer (see :meth:`_gather_buffer`)
     _phase_buf: np.ndarray | None = None
 
@@ -242,10 +193,6 @@ class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
     supports_fused_mixer_expectation = True
     mixer_self_commutes = True
 
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        # The X-mixer factors commute, so Trotterization is exact and unused.
-        furx_all(sv, beta, self._n_qubits)
-
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
         furx_all_batch(block, betas, self._n_qubits, scratch=scratch)
@@ -288,10 +235,6 @@ class QAOAFURXYRingSimulator(_QAOAFURPythonSimulatorBase):
 
     mixer_name = "xyring"
 
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            furxy_ring(sv, beta / n_trotters, self._n_qubits)
-
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
         for _ in range(n_trotters):
@@ -302,10 +245,6 @@ class QAOAFURXYCompleteSimulator(_QAOAFURPythonSimulatorBase):
     """QAOA with the complete-graph XY mixer (Hamming-weight preserving, NumPy)."""
 
     mixer_name = "xycomplete"
-
-    def _apply_mixer(self, sv: np.ndarray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            furxy_complete(sv, beta / n_trotters, self._n_qubits)
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:

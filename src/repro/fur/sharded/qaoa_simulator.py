@@ -37,14 +37,13 @@ depend on ``K`` either.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
-from ..base import QAOAFastSimulatorBase, batch_block_rows, validate_angles
+from ..base import QAOAFastSimulatorBase, batch_block_rows
 from ..cvect.kernels import (
     DEFAULT_BLOCK_SIZE,
     KernelWorkspace,
@@ -101,7 +100,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     """
 
     backend_name = "sharded"
-    supports_fused_engine = True
     supports_staged_phase = True
     supports_coalesced_exchange = True
 
@@ -352,24 +350,10 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             self._phase_table_slices = tables
         return tables
 
-    supports_batched_sv0 = True
-
     def _stage_block(self, sv0: np.ndarray | None,
                      rows: int) -> list[np.ndarray]:
         """Materialize one ``(rows, local_states)`` slab per shard."""
-        s = self.local_states
-        if sv0 is None:
-            amp = 1.0 / np.sqrt(self._n_states)
-            return [np.full((rows, s), amp,
-                            dtype=self._precision.complex_dtype)
-                    for _ in range(self._n_shards)]
-        if np.ndim(sv0) == 2:
-            full2 = self._validate_sv0_block(sv0, rows)
-            return [np.ascontiguousarray(full2[:, r * s:(r + 1) * s])
-                    for r in range(self._n_shards)]
-        full = self._validate_sv0(sv0)
-        return [np.repeat(full[r * s:(r + 1) * s][None, :], rows, axis=0)
-                for r in range(self._n_shards)]
+        return self._stage_slabs(sv0, rows, self._n_shards)
 
     def _stage_phase_block(self, gammas: np.ndarray,
                            plan: Any) -> list[np.ndarray]:
@@ -468,33 +452,11 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             for i in range(rows)
         ]
 
-    # -- simulation ----------------------------------------------------------
+    # -- mixer sweeps --------------------------------------------------------
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
                            n_trotters: int, coalesce: bool) -> None:
         """One batched mixer application over the shard slabs."""
         raise NotImplementedError
-
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> ShardedStateVector:
-        """Evolve the sharded state through ``p`` QAOA layers (looped path)."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        block = self._stage_block(sv0, 1)
-        tables = self._engine_phase_tables()
-
-        class _Plan:
-            phase_tables = tables
-
-        for gamma, beta in zip(g, b):
-            self._apply_phase_block(block, np.array([float(gamma)]), _Plan)
-            self._apply_mixer_slabs(block, np.array([float(beta)]),
-                                    int(n_trotters), coalesce=False)
-        return ShardedStateVector(slices=[slab[0] for slab in block],
-                                  n_qubits=self._n_qubits)
 
     def _apply_mixer_block(self, block: list[np.ndarray], betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:

@@ -15,24 +15,17 @@ import numpy as np
 from ..cvect.kernels import (
     KernelWorkspace,
     apply_phase_batch_inplace,
-    apply_phase_inplace,
-    apply_su2_blocked,
     expectation_batch_inplace,
     furxy_batch_blocked,
-    furxy_blocked,
 )
 from ..diagonal import apply_terms_to_slice
 from .device import DeviceArray
 
 __all__ = [
-    "device_furx_all",
     "device_furx_all_batch",
     "device_furx_phase_all_batch",
-    "device_furxy_ring",
     "device_furxy_ring_batch",
-    "device_furxy_complete",
     "device_furxy_complete_batch",
-    "device_apply_phase",
     "device_apply_phase_batch",
     "device_precompute_diagonal",
     "device_probabilities",
@@ -46,48 +39,6 @@ __all__ = [
 def _check_device_pair(a: DeviceArray, b: DeviceArray) -> None:
     if a.device is not b.device:
         raise ValueError("operands live on different simulated devices")
-
-
-def device_furx_all(sv: DeviceArray, beta: float, n_qubits: int,
-                    workspace: KernelWorkspace) -> DeviceArray:
-    """Transverse-field mixer on the device: n kernels, each streaming the slice."""
-    a = complex(np.cos(beta))
-    b = -1j * complex(np.sin(beta))
-    for q in range(n_qubits):
-        apply_su2_blocked(sv.data, a, b, q, workspace)
-        sv.device.charge_kernel(2 * sv.nbytes)
-    return sv
-
-
-def device_furxy_ring(sv: DeviceArray, beta: float, n_qubits: int,
-                      workspace: KernelWorkspace) -> DeviceArray:
-    """Ring XY mixer on the device (one kernel per edge, half the slice touched)."""
-    from ..python.furxy import ring_edges
-
-    for i, j in ring_edges(n_qubits):
-        furxy_blocked(sv.data, beta, i, j, workspace)
-        sv.device.charge_kernel(sv.nbytes)
-    return sv
-
-
-def device_furxy_complete(sv: DeviceArray, beta: float, n_qubits: int,
-                          workspace: KernelWorkspace) -> DeviceArray:
-    """Complete-graph XY mixer on the device."""
-    from ..python.furxy import complete_edges
-
-    for i, j in complete_edges(n_qubits):
-        furxy_blocked(sv.data, beta, i, j, workspace)
-        sv.device.charge_kernel(sv.nbytes)
-    return sv
-
-
-def device_apply_phase(sv: DeviceArray, costs: DeviceArray, gamma: float,
-                       workspace: KernelWorkspace) -> DeviceArray:
-    """Phase operator kernel: one fused read of the diagonal + RMW of the state."""
-    _check_device_pair(sv, costs)
-    apply_phase_inplace(sv.data, costs.data, gamma, workspace)
-    sv.device.charge_kernel(2 * sv.nbytes + costs.nbytes)
-    return sv
 
 
 def device_precompute_diagonal(device, masks: np.ndarray, weights: np.ndarray,

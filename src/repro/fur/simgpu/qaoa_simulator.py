@@ -8,7 +8,7 @@ results are identical to the CPU backends; in addition the simulator exposes
 ``modeled_device_time()`` so the benchmark harness can report projected A100
 timings next to measured host timings.
 
-Batched evaluation is orchestrated by the shared execution engine
+Every evaluation is orchestrated by the shared execution engine
 (:mod:`repro.fur.engine`); this module implements the
 :class:`~repro.fur.engine.KernelProvider` hooks over device-resident blocks —
 including the device transfer hooks (block upload, per-batch diagonal
@@ -17,30 +17,21 @@ staging, block release) and a device-memory-aware sub-batch capacity.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
-from ..base import (
-    QAOAFastSimulatorBase,
-    batch_block_rows,
-    validate_angles,
-)
+from ..base import QAOAFastSimulatorBase, batch_block_rows
 from ..cvect.kernels import DEFAULT_BLOCK_SIZE, KernelWorkspace
 from ..diagonal import term_masks_and_weights
 from .device import A100_80GB, DeviceArray, DeviceSpec, SimulatedDevice
 from .kernels import (
-    device_apply_phase,
     device_apply_phase_batch,
     device_expectation,
     device_expectation_batch,
-    device_furx_all,
     device_furx_all_batch,
     device_furx_phase_all_batch,
-    device_furxy_complete,
     device_furxy_complete_batch,
-    device_furxy_ring,
     device_furxy_ring_batch,
     device_overlap,
     device_precompute_diagonal,
@@ -56,10 +47,9 @@ __all__ = [
 
 
 class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
-    """Shared device-resident simulation loop; subclasses supply the mixer."""
+    """Shared device-resident kernel provider; subclasses supply the mixer."""
 
     backend_name = "gpu"
-    supports_fused_engine = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  device: SimulatedDevice | None = None,
@@ -120,26 +110,6 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         """Zero the modeled-time counters (keeps allocations)."""
         self._device.reset_clock()
 
-    # -- simulation ----------------------------------------------------------------
-    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        raise NotImplementedError
-
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> DeviceArray:
-        """Evolve through p layers on the device; returns a device-resident result."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        sv_host = self._validate_sv0(sv0)
-        sv = self._device.to_device(sv_host)
-        for gamma, beta in zip(g, b):
-            device_apply_phase(sv, self._costs_device, float(gamma), self._workspace)
-            self._apply_mixer(sv, float(beta), n_trotters)
-        return sv
-
     # -- kernel-provider hooks (driven by repro.fur.engine) -----------------------
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
         """Sub-batch rows bounded by both the host budget and device memory.
@@ -163,9 +133,8 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
         return max(1, min(rows, device_rows))
 
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> DeviceArray:
-        """Upload a ``(rows, 2^n)`` block to the device."""
-        sv = self._validate_sv0(sv0)
-        return self._device.to_device(np.repeat(sv[None, :], rows, axis=0))
+        """Upload a ``(rows, 2^n)`` block (shared or per-row ``sv0``) to the device."""
+        return self._device.to_device(self._validate_sv0_block(sv0, rows))
 
     def _mixer_scratch(self, block: DeviceArray) -> np.ndarray:
         # The gemm-grouped batch mixer ping-pongs through host scratch; the
@@ -204,25 +173,29 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
     # -- output methods (always host values) ------------------------------------------
     def get_statevector(self, result: DeviceArray, **kwargs: Any) -> np.ndarray:
         """Device→host copy of the evolved state."""
-        return result.copy_to_host()
+        with self._exec_lock:  # device transfer accounting is shared
+            return result.copy_to_host()
 
     def get_probabilities(self, result: DeviceArray, preserve_state: bool = True,
                           **kwargs: Any) -> np.ndarray:
         """Measurement probabilities, computed on device and copied to the host."""
-        probs = device_probabilities(result, preserve_state=preserve_state)
-        return probs.copy_to_host().astype(np.float64, copy=False)
+        with self._exec_lock:  # device allocation accounting is shared
+            probs = device_probabilities(result, preserve_state=preserve_state)
+            return probs.copy_to_host().astype(np.float64, copy=False)
 
     def get_expectation(self, result: DeviceArray, costs=None,
                         preserve_state: bool = True, **kwargs: Any) -> float:
         """Objective value via a device-side reduction (no 2^n host transfer)."""
-        if costs is None:
-            return device_expectation(result, self._costs_device, self._workspace)
-        host_costs = self._resolve_costs(costs)
-        costs_dev = self._device.to_device(np.ascontiguousarray(host_costs))
-        try:
-            return device_expectation(result, costs_dev, self._workspace)
-        finally:
-            costs_dev.free()
+        host_costs = None if costs is None else self._resolve_costs(costs)
+        with self._exec_lock:  # the reduction scratch is the shared workspace
+            if host_costs is None:
+                return device_expectation(result, self._costs_device,
+                                          self._workspace)
+            costs_dev = self._device.to_device(np.ascontiguousarray(host_costs))
+            try:
+                return device_expectation(result, costs_dev, self._workspace)
+            finally:
+                costs_dev.free()
 
     def get_overlap(self, result: DeviceArray, costs=None, indices=None,
                     preserve_state: bool = True, **kwargs: Any) -> float:
@@ -235,7 +208,8 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
             raise ValueError("overlap requested against an empty set of indices")
         if idx.min() < 0 or idx.max() >= self._n_states:
             raise ValueError("overlap indices out of range")
-        return device_overlap(result, idx)
+        with self._exec_lock:  # device clock accounting is shared
+            return device_overlap(result, idx)
 
 
 class QAOAFURXSimulatorGPU(_QAOAFURGPUSimulatorBase):
@@ -244,9 +218,6 @@ class QAOAFURXSimulatorGPU(_QAOAFURGPUSimulatorBase):
     mixer_name = "x"
     _mixer_needs_scratch = True
     supports_fused_phase_mixer = True
-
-    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        device_furx_all(sv, beta, self._n_qubits, self._workspace)
 
     def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
@@ -268,10 +239,6 @@ class QAOAFURXYRingSimulatorGPU(_QAOAFURGPUSimulatorBase):
 
     mixer_name = "xyring"
 
-    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            device_furxy_ring(sv, beta / n_trotters, self._n_qubits, self._workspace)
-
     def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
         for _ in range(n_trotters):
@@ -283,10 +250,6 @@ class QAOAFURXYCompleteSimulatorGPU(_QAOAFURGPUSimulatorBase):
     """QAOA with the complete-graph XY mixer on the simulated GPU."""
 
     mixer_name = "xycomplete"
-
-    def _apply_mixer(self, sv: DeviceArray, beta: float, n_trotters: int) -> None:
-        for _ in range(n_trotters):
-            device_furxy_complete(sv, beta / n_trotters, self._n_qubits, self._workspace)
 
     def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:

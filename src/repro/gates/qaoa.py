@@ -31,7 +31,7 @@ from .compile import (
     compile_phase_separator,
     initial_plus_state_circuit,
 )
-from .statevector import StatevectorSimulator, apply_gate
+from .statevector import apply_gate
 
 __all__ = [
     "build_qaoa_circuit",
@@ -97,7 +97,6 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
     """
 
     backend_name = "gates"
-    supports_fused_engine = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  mixer: str | None = None, phase_strategy: str = "ladder",
@@ -124,7 +123,6 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
         self.phase_strategy = phase_strategy
         super().__init__(n_qubits, terms=terms, costs=costs,
                          precision=precision, optimize=optimize)
-        self._engine_sim = StatevectorSimulator(dtype=self._precision.complex_dtype)
 
     def layer_circuit(self, gamma: float, beta: float) -> QuantumCircuit:
         """The compiled circuit of a single QAOA layer (for gate-count studies)."""
@@ -150,23 +148,6 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
             qc = qc.compose(slice_qc)
         return qc
 
-    def simulate_qaoa(self, gammas: Sequence[float], betas: Sequence[float],
-                      sv0: np.ndarray | None = None, *, n_trotters: int = 1,
-                      **kwargs: Any) -> np.ndarray:
-        """Simulate p layers by gate-by-gate circuit execution."""
-        if kwargs:
-            raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        g, b = validate_angles(gammas, betas)
-        sv = self._validate_sv0(sv0)
-        for gamma, beta in zip(g, b):
-            sv = self._engine_sim.run(self._phase_circuit(float(gamma)),
-                                      initial_state=sv)
-            sv = self._engine_sim.run(self._mixer_circuit(float(beta), n_trotters),
-                                      initial_state=sv)
-        return sv
-
     # -- kernel-provider hooks (driven by repro.fur.engine) -------------------
     # The block is a plain list of per-schedule 1-D state vectors: dense gate
     # application allocates a fresh array per gate (the baseline's defining
@@ -174,8 +155,6 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
 
     def _engine_phase_tables(self) -> Any:
         return None  # the phase separator is re-applied gate by gate
-
-    supports_batched_sv0 = True
 
     def _stage_block(self, sv0: np.ndarray | None,
                      rows: int) -> list[np.ndarray]:

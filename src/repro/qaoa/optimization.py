@@ -11,6 +11,7 @@ p, INTERP-extend to p+1, re-optimize) used to reach high depths.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
 
@@ -213,7 +214,12 @@ def progressive_depth_optimization(objective_factory, max_p: int, *,
     ``objective_factory(p)`` must return a fresh :class:`QAOAObjective` of
     depth ``p``.  The depth-``start_p`` schedule starts from the linear ramp;
     each subsequent depth starts from the INTERP extension of the previous
-    optimum.  Returns one :class:`OptimizationResult` per depth.
+    optimum.  INTERP is a heuristic and a short local search from it can end
+    above the previous optimum; the previous schedule padded with an identity
+    layer (``γ = β = 0``) reproduces that optimum at the new depth, so it is
+    kept as the depth's result whenever it is better, and the best value is
+    non-increasing in ``p``.  Returns one :class:`OptimizationResult` per
+    depth.
     """
     if start_p <= 0 or max_p < start_p:
         raise ValueError("need 1 <= start_p <= max_p")
@@ -225,7 +231,16 @@ def progressive_depth_optimization(objective_factory, max_p: int, *,
         objective = objective_factory(p)
         if objective.p != p:
             raise ValueError(f"objective_factory({p}) returned an objective of depth {objective.p}")
-        results.append(
-            minimize_qaoa(objective, gammas, betas, method=method, maxiter=maxiter_per_depth)
-        )
+        result = minimize_qaoa(objective, gammas, betas, method=method,
+                               maxiter=maxiter_per_depth)
+        if results and result.value > results[-1].value:
+            padded_g = np.append(results[-1].gammas, 0.0)
+            padded_b = np.append(results[-1].betas, 0.0)
+            value = float(objective(stack_parameters(padded_g, padded_b)))
+            if value < result.value:
+                result = dataclasses.replace(
+                    result, gammas=padded_g, betas=padded_b, value=value,
+                    n_evaluations=objective.n_evaluations,
+                    history=list(objective.history))
+        results.append(result)
     return results

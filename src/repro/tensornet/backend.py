@@ -75,7 +75,6 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
 
     backend_name = "tensornet"
     capability_tier = "expectation-only"
-    supports_fused_engine = True
     mixer_name = "x"
     #: the X mixer is exact under angle addition, so the ReorderCommuting
     #: merge shrinks the contracted circuit without changing the amplitude

@@ -1,18 +1,18 @@
 """Cut-vs-uncut parity: the pipeline must reproduce the monolithic value.
 
-Random seeded problems are evaluated both ways on every importable
-full-tier backend, at both precisions, with tolerances matching the
-repo-wide parity discipline (1e-12 double, 1e-5 single).
+Random seeded problems are evaluated cut on every importable full-tier
+backend, at both precisions, and uncut by the independent per-vector
+reference of :mod:`repro.testing`, with tolerances matching the repo-wide
+parity discipline (1e-12 double, 1e-5 single).
 """
 
 import numpy as np
 import pytest
 
-import repro
 from repro.cutting import CutUnsupportedError, cut_qaoa_expectation
-from repro.fur import available_backends
+from repro.fur import available_backends, precompute_cost_diagonal
 from repro.fur.capabilities import UnsupportedCapabilityError
-from repro.testing import random_terms
+from repro.testing import random_terms, reference_expectation
 
 FULL_TIER = [b for b in available_backends(mixer="x", capability="statevector",
                                            importable_only=True)
@@ -22,10 +22,9 @@ FULL_TIER = [b for b in available_backends(mixer="x", capability="statevector",
 TOLERANCES = {"double": 1e-12, "single": 1e-5}
 
 
-def _uncut(n, terms, gammas, betas, precision):
-    sim = repro.simulator(n, terms=terms, backend="python",
-                         precision=precision)
-    return sim.get_expectation(sim.simulate_qaoa(gammas, betas))
+def _uncut(n, terms, gammas, betas):
+    return reference_expectation(precompute_cost_diagonal(terms, n),
+                                 gammas, betas)
 
 
 @pytest.mark.parametrize("backend", FULL_TIER)
@@ -37,7 +36,7 @@ def test_cut_matches_uncut_random_problems(backend, precision, seeded_rng):
         terms = random_terms(seeded_rng, n, n_terms=2 * n, max_order=3)
         gamma = float(seeded_rng.uniform(-1, 1))
         beta = float(seeded_rng.uniform(-1, 1))
-        want = _uncut(n, terms, [gamma], [beta], "double")
+        want = _uncut(n, terms, [gamma], [beta])
         got = cut_qaoa_expectation(n, terms, [gamma], [beta],
                                    backend=backend, precision=precision)
         assert got == pytest.approx(want, abs=tol), (
@@ -60,20 +59,18 @@ def test_cut_matches_uncut_structured_problems(backend, qaoa_angles):
         (star, dict(partition=[0, 1, 2], cut_qubits=[0])),
     ]:
         n = 8 if terms is not star else 7
-        want = _uncut(n, terms, gammas, betas, "double")
+        want = _uncut(n, terms, gammas, betas)
         got = cut_qaoa_expectation(n, terms, gammas, betas,
                                    backend=backend, **kwargs)
         assert got == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["fused", "looped"])
-def test_fragment_execution_mode_parity(mode, seeded_rng):
-    """Fused and looped fragment evaluation agree to machine precision."""
+def test_fragment_pipeline_matches_reference(seeded_rng):
+    """The per-row-sv0 fragment evaluation matches the reference exactly."""
     n = 8
     terms = random_terms(seeded_rng, n, n_terms=12)
-    want = _uncut(n, terms, [0.31], [0.57], "double")
-    got = cut_qaoa_expectation(n, terms, [0.31], [0.57],
-                               backend="python", mode=mode)
+    want = _uncut(n, terms, [0.31], [0.57])
+    got = cut_qaoa_expectation(n, terms, [0.31], [0.57], backend="python")
     assert got == pytest.approx(want, abs=1e-12)
 
 

@@ -2,14 +2,15 @@
 
 Covers
 
-* fused == looped equivalence across backends x mixers x problem
-  constructions (``terms`` / ``costs`` array / ``CompressedDiagonal``),
+* fused batches == the independent per-vector reference of
+  :mod:`repro.testing` across backends x mixers x problem constructions
+  (``terms`` / ``costs`` array / ``CompressedDiagonal``),
 * sub-batch splitting under a memory budget,
 * the batched kernels against their per-row references,
 * the diagonal phase table,
 * regressions: ``CompressedDiagonal.decompress`` with ``np.dtype`` instances,
   one-decompression-per-simulator on deep circuits, single default-diagonal
-  resolution in the looped batch default, and contiguous in-place
+  resolution per engine batch, and contiguous in-place
   probabilities on the ``python`` backend.
 """
 
@@ -39,7 +40,7 @@ from repro.fur.python.furxy import (
     furxy_ring_batch,
 )
 from repro.problems import labs
-from repro.testing import random_terms
+from repro.testing import random_terms, reference_expectation, reference_state
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -69,23 +70,24 @@ class TestFusedBatchEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mixer", MIXERS)
     @pytest.mark.parametrize("construction", ["terms", "costs", "compressed"])
-    def test_fused_matches_looped(self, backend, mixer, construction):
+    def test_fused_matches_reference(self, backend, mixer, construction):
         sim = _make_simulator(backend, mixer, construction)
         rng = np.random.default_rng(hash((backend, mixer, construction)) % (2 ** 32))
         batch, p = 5, 3
         gb = rng.uniform(-1.0, 1.0, (batch, p))
         bb = rng.uniform(-1.0, 1.0, (batch, p))
+        costs = sim.get_cost_diagonal()
 
         fused_states = [np.asarray(sim.get_statevector(r))
                         for r in sim.simulate_qaoa_batch(gb, bb)]
         for state, (g, b) in zip(fused_states, zip(gb, bb)):
-            looped = np.asarray(sim.get_statevector(sim.simulate_qaoa(g, b)))
-            np.testing.assert_allclose(state, looped, atol=1e-12)
+            np.testing.assert_allclose(
+                state, reference_state(costs, g, b, mixer=mixer), atol=1e-12)
 
         fused_values = sim.get_expectation_batch(gb, bb)
-        looped_values = [sim.get_expectation(sim.simulate_qaoa(g, b))
-                         for g, b in zip(gb, bb)]
-        np.testing.assert_allclose(fused_values, looped_values, atol=1e-12)
+        want = [reference_expectation(costs, g, b, mixer=mixer)
+                for g, b in zip(gb, bb)]
+        np.testing.assert_allclose(fused_values, want, atol=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fused_respects_sv0_and_trotters(self, backend):
@@ -97,12 +99,13 @@ class TestFusedBatchEquivalence:
         gb = rng.uniform(0, 1, (3, 2))
         bb = rng.uniform(0, 1, (3, 2))
         sv0 = dicke_state(N, 3)
+        costs = sim.get_cost_diagonal()
         fused = [np.asarray(sim.get_statevector(r))
                  for r in sim.simulate_qaoa_batch(gb, bb, sv0=sv0, n_trotters=3)]
         for state, (g, b) in zip(fused, zip(gb, bb)):
-            looped = np.asarray(sim.get_statevector(
-                sim.simulate_qaoa(g, b, sv0=sv0, n_trotters=3)))
-            np.testing.assert_allclose(state, looped, atol=1e-12)
+            want = reference_state(costs, g, b, mixer="xyring", sv0=sv0,
+                                   n_trotters=3)
+            np.testing.assert_allclose(state, want, atol=1e-12)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_fused_explicit_costs(self, backend):
@@ -112,9 +115,10 @@ class TestFusedBatchEquivalence:
         gb = rng.uniform(0, 1, (4, 2))
         bb = rng.uniform(0, 1, (4, 2))
         fused = sim.get_expectation_batch(gb, bb, costs=other)
-        looped = [sim.get_expectation(sim.simulate_qaoa(g, b), costs=other)
-                  for g, b in zip(gb, bb)]
-        np.testing.assert_allclose(fused, looped, atol=1e-12)
+        diag = sim.get_cost_diagonal()
+        want = [float(np.abs(reference_state(diag, g, b)) ** 2 @ other)
+                for g, b in zip(gb, bb)]
+        np.testing.assert_allclose(fused, want, atol=1e-12)
 
 
 class TestSubBatchSplitting:
@@ -364,7 +368,7 @@ class TestHotPathRegressions:
         monkeypatch.setattr(type(sim), "get_cost_diagonal", counting)
         rng = np.random.default_rng(1)
         sim.get_expectation_batch(rng.uniform(0, 1, (6, 2)),
-                                  rng.uniform(0, 1, (6, 2)), mode="looped")
+                                  rng.uniform(0, 1, (6, 2)))
         assert calls["n"] == 1
 
     def test_python_inplace_probabilities_contiguous(self):

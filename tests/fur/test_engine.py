@@ -5,11 +5,12 @@ Covers
 * plan-cache hit/invalidate semantics: repeated evaluation at the same
   ``(p, n_trotters, budget)`` reuses the compiled plan, any change (including
   the simulator precision) recompiles,
-* fused-vs-looped parity *via the shared engine* across backends x mixers x
-  precisions,
-* the new distributed fused path (``gpumpi``/``cusvmpi`` kernel providers
-  over per-rank slice blocks, and the 2-rank SPMD batched program),
-* engine statistics and execution-mode validation,
+* engine parity against the independent per-vector reference of
+  :mod:`repro.testing` across backends x mixers x precisions,
+* the distributed fused path (``gpumpi``/``cusvmpi`` kernel providers over
+  per-rank slice blocks, and the 2-rank SPMD batched program),
+* engine statistics, the one-row ``simulate_qaoa`` call and kwarg
+  validation,
 * the read-only guarantees of ``get_cost_diagonal()`` and the plan/phase
   caches (the PR 1 shared-diagonal mutation hazard).
 """
@@ -18,10 +19,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.fur import compress_diagonal
+from repro.fur import available_backends, compress_diagonal, get_backend
 from repro.fur.engine import ExpectationOp, MixerOp, PhaseOp
 from repro.fur.mpi.spmd import run_distributed_qaoa_batch
 from repro.problems import labs
+from repro.testing import reference_expectation, reference_state
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -126,15 +128,17 @@ class TestEngineParity:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mixer", MIXERS)
     @pytest.mark.parametrize("precision", PRECISIONS)
-    def test_fused_matches_looped(self, backend, mixer, precision, rng):
+    def test_matches_reference(self, backend, mixer, precision, rng):
         sim = repro.simulator(N, terms=labs.get_terms(N), backend=backend,
                               mixer=mixer, precision=precision)
         gb = rng.uniform(-1, 1, (4, 2))
         bb = rng.uniform(-1, 1, (4, 2))
-        fused = sim.get_expectation_batch(gb, bb, mode="fused")
-        looped = sim.get_expectation_batch(gb, bb, mode="looped")
-        tol = 1e-12 if precision == "double" else 2e-5
-        np.testing.assert_allclose(fused, looped, rtol=tol, atol=tol)
+        fused = sim.get_expectation_batch(gb, bb)
+        costs = sim.get_cost_diagonal()
+        want = [reference_expectation(costs, g, b, mixer=mixer)
+                for g, b in zip(gb, bb)]
+        tol = 1e-12 if precision == "double" else 1e-5
+        np.testing.assert_allclose(fused, want, rtol=tol, atol=tol)
         assert fused.dtype == np.float64  # float64 accumulation policy
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -150,20 +154,52 @@ class TestEngineParity:
                                    atol=1e-12)
 
 
+FULL_TIER_CELLS = [
+    (backend, mixer, precision)
+    for backend in available_backends(capability="statevector")
+    for mixer in get_backend(backend).mixers
+    for precision in PRECISIONS
+    if get_backend(backend).supports_precision(precision)
+]
+
+
+class TestOneEvaluationPath:
+    """``simulate_qaoa`` is the engine's one-row call on every full-tier cell."""
+
+    @pytest.mark.parametrize("backend,mixer,precision", FULL_TIER_CELLS)
+    def test_matches_reference(self, backend, mixer, precision, rng):
+        sim = repro.simulator(N, terms=labs.get_terms(N), backend=backend,
+                              mixer=mixer, precision=precision)
+        gb = rng.uniform(-1, 1, (3, 2))
+        bb = rng.uniform(-1, 1, (3, 2))
+        costs = sim.get_cost_diagonal()
+        tol = 1e-12 if precision == "double" else 1e-5
+        want = [reference_state(costs, g, b, mixer=mixer, n_trotters=2)
+                for g, b in zip(gb, bb)]
+        for g, b, state in zip(gb, bb, want):
+            got = sim.get_statevector(sim.simulate_qaoa(g, b, n_trotters=2))
+            np.testing.assert_allclose(got, state, atol=tol)
+        values = sim.get_expectation_batch(gb, bb, n_trotters=2)
+        np.testing.assert_allclose(
+            values, [float(np.abs(s) ** 2 @ costs) for s in want],
+            rtol=tol, atol=tol)
+
+
 class TestDistributedFused:
     @pytest.mark.parametrize("backend", ["gpumpi", "cusvmpi"])
     @pytest.mark.parametrize("n_ranks", [2, 4])
-    def test_fused_matches_looped_and_single_node(self, backend, n_ranks, rng):
+    def test_matches_reference_and_single_node(self, backend, n_ranks, rng):
         terms = labs.get_terms(8)
         sim = repro.simulator(8, terms=terms, backend=backend, n_ranks=n_ranks)
-        reference = repro.simulator(8, terms=terms, backend="python")
+        single_node = repro.simulator(8, terms=terms, backend="python")
         gb = rng.uniform(0, 1, (5, 3))
         bb = rng.uniform(0, 1, (5, 3))
         fused = sim.get_expectation_batch(gb, bb)
-        np.testing.assert_allclose(fused,
-                                   sim.get_expectation_batch(gb, bb, mode="looped"),
-                                   atol=1e-12)
-        np.testing.assert_allclose(fused, reference.get_expectation_batch(gb, bb),
+        costs = sim.get_cost_diagonal()
+        np.testing.assert_allclose(
+            fused, [reference_expectation(costs, g, b) for g, b in zip(gb, bb)],
+            atol=1e-12)
+        np.testing.assert_allclose(fused, single_node.get_expectation_batch(gb, bb),
                                    atol=1e-10)
 
     @pytest.mark.parametrize("backend", ["gpumpi", "cusvmpi"])
@@ -174,10 +210,11 @@ class TestDistributedFused:
         bb = rng.uniform(0, 1, (3, 2))
         results = sim.simulate_qaoa_batch(gb, bb)
         assert len(results) == 3
+        costs = sim.get_cost_diagonal()
         for res, (g, b) in zip(results, zip(gb, bb)):
             assert res.n_ranks == 2
             np.testing.assert_allclose(res.gather(),
-                                       sim.simulate_qaoa(g, b).gather(),
+                                       reference_state(costs, g, b),
                                        atol=1e-12)
 
     def test_fused_distributed_single_precision(self, rng):
@@ -194,19 +231,20 @@ class TestDistributedFused:
 
     def test_cusvmpi_batched_exchange_message_count_is_rows_independent(self, rng):
         # The batched index-bit swap exchanges whole (rows, half) blocks, so
-        # the message count matches a single looped layer while the looped
-        # path pays one exchange per schedule.
+        # one B=4 call sends as many messages as one single-schedule call,
+        # while four single-schedule calls pay one exchange set each.
         terms = labs.get_terms(6)
         gb = rng.uniform(0, 1, (4, 1))
         bb = rng.uniform(0, 1, (4, 1))
         fused_sim = repro.simulator(6, terms=terms, backend="cusvmpi", n_ranks=2)
-        fused_sim.get_expectation_batch(gb, bb, mode="fused")
+        fused_sim.get_expectation_batch(gb, bb)
         fused_msgs = sum(t.num_messages for t in fused_sim.traffic_log)
-        looped_sim = repro.simulator(6, terms=terms, backend="cusvmpi", n_ranks=2)
-        looped_sim.get_expectation_batch(gb, bb, mode="looped")
-        looped_msgs = sum(t.num_messages for t in looped_sim.traffic_log)
-        assert fused_msgs < looped_msgs
-        assert looped_msgs == 4 * fused_msgs  # one exchange set per schedule
+        single_sim = repro.simulator(6, terms=terms, backend="cusvmpi", n_ranks=2)
+        for g, b in zip(gb, bb):
+            single_sim.simulate_qaoa(g, b)
+        single_msgs = sum(t.num_messages for t in single_sim.traffic_log)
+        assert fused_msgs < single_msgs
+        assert single_msgs == 4 * fused_msgs  # one exchange set per schedule
 
     def test_memory_budget_splits_distributed_batches(self, rng):
         terms = labs.get_terms(6)
@@ -224,12 +262,13 @@ class TestDistributedFused:
         gb = rng.uniform(0, 1, (3, 2))
         bb = rng.uniform(0, 1, (3, 2))
         out = run_distributed_qaoa_batch(6, terms, gb, bb, n_ranks=2)
-        reference = repro.simulator(6, terms=terms, backend="python")
-        np.testing.assert_allclose(out["expectations"],
-                                   reference.get_expectation_batch(gb, bb),
-                                   atol=1e-10)
-        states = [np.asarray(reference.simulate_qaoa(g, b))
-                  for g, b in zip(gb, bb)]
+        costs = repro.simulator(6, terms=terms,
+                                backend="python").get_cost_diagonal()
+        np.testing.assert_allclose(
+            out["expectations"],
+            [reference_expectation(costs, g, b) for g, b in zip(gb, bb)],
+            atol=1e-10)
+        states = [reference_state(costs, g, b) for g, b in zip(gb, bb)]
         np.testing.assert_allclose(out["statevectors"], np.stack(states),
                                    atol=1e-12)
         # coalesced exchange (the default): 2 alltoalls per layer, B-independent
@@ -260,42 +299,22 @@ class TestEngineStatsAndModes:
         assert sim.engine.stats.blocks_executed == 7
         assert sim.engine.stats.rows_executed == 7
 
-    def test_looped_evaluations_counted(self, rng):
+    def test_simulate_qaoa_is_a_one_row_engine_call(self, rng):
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
-        sim.get_expectation_batch(rng.uniform(0, 1, (3, 2)),
-                                  rng.uniform(0, 1, (3, 2)), mode="looped")
-        assert sim.engine.stats.looped_evaluations == 3
-        assert sim.engine.stats.blocks_executed == 0
-
-    def test_unknown_mode_rejected(self, rng):
-        sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
-        with pytest.raises(ValueError, match="unknown execution mode"):
-            sim.get_expectation_batch([[0.1]], [[0.2]], mode="warp")
-
-    def test_fused_mode_requires_a_kernel_provider(self):
-        from repro.gates.qaoa import QAOAGateBasedSimulator
-
-        # every registered family is a kernel provider now, so degrade one
-        class NoEngine(QAOAGateBasedSimulator):
-            supports_fused_engine = False
-
-        sim = NoEngine(4, terms=[(1.0, (0, 1))])
-        with pytest.raises(ValueError, match="kernel-provider"):
-            sim.get_expectation_batch([[0.1]], [[0.2]], mode="fused")
-        # auto falls back to the looped path instead
-        values = sim.get_expectation_batch([[0.1]], [[0.2]])
-        assert values.shape == (1,)
-        # the real gates simulator runs the fused engine path
-        fused = QAOAGateBasedSimulator(4, terms=[(1.0, (0, 1))])
-        assert fused.supports_fused_engine
-        np.testing.assert_allclose(
-            fused.get_expectation_batch([[0.1]], [[0.2]], mode="fused"),
-            values, rtol=1e-12)
+        g, b = rng.uniform(0, 1, 2), rng.uniform(0, 1, 2)
+        state = sim.simulate_qaoa(g, b)
+        stats = sim.engine.stats
+        assert (stats.blocks_executed, stats.rows_executed) == (1, 1)
+        assert stats.looped_evaluations == 0
+        np.testing.assert_array_equal(state,
+                                      sim.simulate_qaoa_batch([g], [b])[0])
 
     def test_fused_rejects_unknown_kwargs(self, rng):
         sim = repro.simulator(5, terms=labs.get_terms(5), backend="python")
         with pytest.raises(TypeError, match="unexpected keyword"):
             sim.get_expectation_batch([[0.1]], [[0.2]], bogus=1)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            sim.get_expectation_batch([[0.1]], [[0.2]], mode="fused")
 
 
 class TestReadOnlyDiagonals:

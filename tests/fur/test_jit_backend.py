@@ -247,6 +247,25 @@ class TestPathLadderAndCompileAccounting:
         assert isinstance(first, float) and first >= 0.0
         assert again == 0.0
 
+    @pytest.mark.skipif(kernels._find_compiler() is None,
+                        reason="no C compiler for the cc path")
+    def test_corrupted_cached_library_is_rebuilt(self, monkeypatch, tmp_path):
+        """A garbage ``libreprojit-*.so`` is rebuilt once, with one warning."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_JIT_PATH", "cc")
+        lib_path = kernels._library_path()
+        with open(lib_path, "wb") as fh:
+            fh.write(b"not a shared object")
+        kernels._reset_path_cache()
+        try:
+            with pytest.warns(RuntimeWarning, match="libreprojit-") as record:
+                assert kernels.active_path() == "cc"
+            assert len(record) == 1
+            with open(lib_path, "rb") as fh:
+                assert fh.read() != b"not a shared object"  # rebuilt in place
+        finally:
+            kernels._reset_path_cache()
+
     @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE,
                         reason="numba not installed")
     def test_numba_is_preferred_when_available(self, monkeypatch):

@@ -3,21 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.fur import get_simulator_class
+from repro.fur import precompute_cost_diagonal
 from repro.fur.mpi import (
     QAOAFURXSimulatorCUSVMPI,
     QAOAFURXSimulatorGPUMPI,
     run_distributed_qaoa,
 )
 from repro.problems import labs, maxcut
+from repro.testing import reference_expectation
+from repro.testing import reference_state as _reference_state
 
 DISTRIBUTED_CLASSES = [QAOAFURXSimulatorGPUMPI, QAOAFURXSimulatorCUSVMPI]
 
 
-def reference_state(n, terms, gammas, betas):
-    sim = get_simulator_class("c")(n, terms=terms)
-    res = sim.simulate_qaoa(gammas, betas)
-    return sim, np.asarray(sim.get_statevector(res))
+def reference_state(n, terms, gammas, betas, sv0=None):
+    """``(costs, state)`` of the independent per-vector reference."""
+    costs = precompute_cost_diagonal(terms, n)
+    return costs, _reference_state(costs, gammas, betas, sv0=sv0)
 
 
 class TestDistributedCorrectness:
@@ -28,12 +30,12 @@ class TestDistributedCorrectness:
         terms = labs.get_terms(n)
         rng = np.random.default_rng(n_ranks)
         gammas, betas = rng.uniform(0, 1, p), rng.uniform(0, 1, p)
-        ref_sim, ref = reference_state(n, terms, gammas, betas)
+        costs, ref = reference_state(n, terms, gammas, betas)
         sim = cls(n, terms=terms, n_ranks=n_ranks)
         res = sim.simulate_qaoa(gammas, betas)
         np.testing.assert_allclose(sim.get_statevector(res), ref, atol=1e-12)
         assert sim.get_expectation(res) == pytest.approx(
-            ref_sim.get_expectation(ref_sim.simulate_qaoa(gammas, betas)), abs=1e-10)
+            reference_expectation(costs, gammas, betas), abs=1e-10)
 
     @pytest.mark.parametrize("cls", DISTRIBUTED_CLASSES)
     def test_matches_single_node_maxcut(self, cls, small_maxcut, qaoa_angles):
@@ -72,8 +74,7 @@ class TestDistributedCorrectness:
         rng = np.random.default_rng(3)
         sv0 = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         sv0 /= np.linalg.norm(sv0)
-        ref_sim = get_simulator_class("c")(n, terms=terms)
-        ref = np.asarray(ref_sim.get_statevector(ref_sim.simulate_qaoa(gammas, betas, sv0=sv0)))
+        _, ref = reference_state(n, terms, gammas, betas, sv0=sv0)
         sim = cls(n, terms=terms, n_ranks=4)
         np.testing.assert_allclose(
             sim.get_statevector(sim.simulate_qaoa(gammas, betas, sv0=sv0)), ref, atol=1e-12)
@@ -97,8 +98,8 @@ class TestDistributedOutputs:
         n = 8
         terms = labs.get_terms(n)
         gammas, betas = qaoa_angles
-        ref_sim = get_simulator_class("c")(n, terms=terms)
-        ref_ov = ref_sim.get_overlap(ref_sim.simulate_qaoa(gammas, betas))
+        costs, ref = reference_state(n, terms, gammas, betas)
+        ref_ov = float(np.sum(np.abs(ref[costs == costs.min()]) ** 2))
         sim = QAOAFURXSimulatorCUSVMPI(n, terms=terms, n_ranks=8)
         assert sim.get_overlap(sim.simulate_qaoa(gammas, betas)) == pytest.approx(ref_ov, abs=1e-10)
 
@@ -161,6 +162,56 @@ class TestCommunicationPatterns:
         assert sim.traffic_log == []
 
 
+class TestTrafficPins:
+    """Exact exchange traffic of one single-schedule ``simulate_qaoa`` call.
+
+    Pins, per backend, strategy and rank count, the number of traces, the
+    messages in each trace and the bytes each trace moves, so a change of
+    the evaluation path underneath ``simulate_qaoa`` cannot silently change
+    the modeled communication.
+    """
+
+    N, P = 8, 3
+
+    def _run(self, sim):
+        rng = np.random.default_rng(11)
+        sim.simulate_qaoa(rng.uniform(0.1, 1.0, self.P),
+                          rng.uniform(0.1, 1.0, self.P))
+        return ([t.num_messages for t in sim.traffic_log],
+                [t.total_bytes for t in sim.traffic_log])
+
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    @pytest.mark.parametrize("algorithm", ["direct", "ring", "bruck", "pairwise"])
+    def test_gpumpi_alltoall(self, algorithm, n_ranks):
+        sim = QAOAFURXSimulatorGPUMPI(self.N, terms=labs.get_terms(self.N),
+                                      n_ranks=n_ranks,
+                                      alltoall_algorithm=algorithm)
+        messages, nbytes = self._run(sim)
+        chunk_bytes = (1 << self.N) // n_ranks // n_ranks * 16
+        if algorithm == "bruck":
+            rounds = n_ranks.bit_length() - 1
+            per_msgs = n_ranks * rounds
+            per_bytes = per_msgs * (n_ranks // 2) * chunk_bytes
+        else:
+            per_msgs = n_ranks * (n_ranks - 1)
+            per_bytes = per_msgs * chunk_bytes
+        assert len(sim.traffic_log) == 2 * self.P
+        assert messages == [per_msgs] * (2 * self.P)
+        assert nbytes == [per_bytes] * (2 * self.P)
+
+    @pytest.mark.parametrize("n_ranks", [2, 4])
+    def test_cusvmpi_index_swaps(self, n_ranks):
+        sim = QAOAFURXSimulatorCUSVMPI(self.N, terms=labs.get_terms(self.N),
+                                       n_ranks=n_ranks)
+        messages, nbytes = self._run(sim)
+        k = n_ranks.bit_length() - 1
+        half_bytes = (1 << self.N) // n_ranks // 2 * 16
+        per_msgs = 2 * n_ranks * k
+        assert len(sim.traffic_log) == self.P
+        assert messages == [per_msgs] * self.P
+        assert nbytes == [per_msgs * half_bytes] * self.P
+
+
 class TestValidation:
     def test_rank_count_must_be_power_of_two(self):
         with pytest.raises(ValueError):
@@ -181,11 +232,11 @@ class TestSPMDPath:
         terms = labs.get_terms(n)
         rng = np.random.default_rng(0)
         gammas, betas = rng.uniform(0, 1, p), rng.uniform(0, 1, p)
-        ref_sim, ref = reference_state(n, terms, gammas, betas)
+        costs, ref = reference_state(n, terms, gammas, betas)
         out = run_distributed_qaoa(n, terms, gammas, betas, n_ranks=4)
         np.testing.assert_allclose(out["statevector"], ref, atol=1e-12)
         assert out["expectation"] == pytest.approx(
-            ref_sim.get_expectation(ref_sim.simulate_qaoa(gammas, betas)), abs=1e-10)
+            reference_expectation(costs, gammas, betas), abs=1e-10)
         assert all(r["n_alltoall"] == 2 * p for r in out["ranks"])
 
     def test_spmd_rejects_bad_rank_count(self):

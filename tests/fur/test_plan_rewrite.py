@@ -5,8 +5,9 @@ Covers
 * the randomized cross-backend parity harness: random terms, angles, mixers,
   precisions and batch shapes (seeded via the session ``seeded_rng`` fixture,
   reproducible from the seed printed in the pytest header), asserting
-  optimized == unoptimized == looped within the established envelopes
-  (1e-5 single / 1e-12 double) for every importable backend,
+  optimized == unoptimized == the independent per-vector reference of
+  :mod:`repro.testing` within the established envelopes (1e-5 single /
+  1e-12 double) for every importable backend,
 * unit semantics of the six passes (FusePhaseIntoMixer, CoalesceExchanges,
   FoldInitialPhase, FuseMixerIntoExpectation, EliminateNoOps,
   ReorderCommuting), including capability gating and fused-op demotion,
@@ -45,13 +46,13 @@ from repro.fur.rewrite import (
     run_passes,
 )
 from repro.problems import labs
-from repro.testing import random_terms
+from repro.testing import random_terms, reference_expectation
 
 #: Every backend importable in this environment participates in the harness.
 BACKENDS = available_backends(importable_only=True)
 PRECISIONS = ("double", "single")
 
-#: Established parity envelopes (relative, applied against the looped path).
+#: Established parity envelopes (relative, applied against the reference).
 ENVELOPE = {"double": 1e-12, "single": 1e-5}
 
 #: Random configurations drawn per backend x precision cell.
@@ -88,12 +89,12 @@ def _random_config(rng, spec):
 
 
 class TestRandomizedParityHarness:
-    """optimized == unoptimized == looped, across everything, from one seed."""
+    """optimized == unoptimized == reference, across everything, from one seed."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("precision", PRECISIONS)
-    def test_optimized_matches_unoptimized_and_looped(self, backend, precision,
-                                                      seeded_rng):
+    def test_optimized_matches_unoptimized_and_reference(self, backend,
+                                                         precision, seeded_rng):
         spec = get_backend(backend)
         if not spec.supports_precision(precision):
             pytest.skip(f"{backend} does not implement {precision}")
@@ -103,18 +104,20 @@ class TestRandomizedParityHarness:
                                   mixer=mixer, precision=precision, **kwargs)
             optimized = sim.get_expectation_batch(gb, bb)
             unoptimized = sim.get_expectation_batch(gb, bb, optimize="none")
-            looped = sim.get_expectation_batch(gb, bb, mode="looped")
-            tol = ENVELOPE[precision] * max(1.0, float(np.max(np.abs(looped))))
+            costs = sim.get_cost_diagonal()
+            reference = np.array([reference_expectation(costs, g, b, mixer=mixer)
+                                  for g, b in zip(gb, bb)])
+            tol = ENVELOPE[precision] * max(1.0, float(np.max(np.abs(reference))))
             context = (f"backend={backend} precision={precision} "
                        f"trial={trial} n={n} mixer={mixer} "
                        f"shape={gb.shape} kwargs={kwargs} "
                        "(reproduce via the seed in the pytest header)")
             np.testing.assert_allclose(optimized, unoptimized, atol=tol,
                                        err_msg=f"optimized vs unoptimized: {context}")
-            np.testing.assert_allclose(optimized, looped, atol=tol,
-                                       err_msg=f"optimized vs looped: {context}")
-            np.testing.assert_allclose(unoptimized, looped, atol=tol,
-                                       err_msg=f"unoptimized vs looped: {context}")
+            np.testing.assert_allclose(optimized, reference, atol=tol,
+                                       err_msg=f"optimized vs reference: {context}")
+            np.testing.assert_allclose(unoptimized, reference, atol=tol,
+                                       err_msg=f"unoptimized vs reference: {context}")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_simulate_batch_states_match_unoptimized(self, backend, seeded_rng):

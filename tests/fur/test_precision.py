@@ -4,8 +4,9 @@ Covers
 
 * precision resolution (names, aliases, dtypes) and the registry capability
   metadata / facade validation,
-* the single-precision state dtype across every backend and mixer, in looped
-  and fused-batch modes, including fused == looped parity at single precision,
+* the single-precision state dtype across every backend and mixer, for
+  single schedules and fused batches, including parity with the
+  independent complex128 reference of :mod:`repro.testing`,
 * the pinned numerical policy: expectations accumulate in float64 and stay
   within the 1e-5 relative error envelope of double precision on the Fig. 2
   MaxCut workload,
@@ -39,6 +40,7 @@ from repro.problems.terms import (
     spins_from_index,
 )
 from repro.qaoa import get_qaoa_objective
+from repro.testing import reference_expectation, reference_state
 
 BACKENDS = ["python", "c", "gpu"]
 MIXERS = ["x", "xyring", "xycomplete"]
@@ -248,11 +250,11 @@ class TestNumericalPolicy:
 
 
 class TestFusedLoopedParitySingle:
-    """Satellite: the fused-vs-looped parity matrix repeated at single precision."""
+    """The reference parity matrix repeated at single precision."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("mixer", MIXERS)
-    def test_fused_matches_looped(self, backend, mixer, rng):
+    def test_fused_matches_reference(self, backend, mixer, rng):
         n, batch, p = 6, 5, 3
         terms = [(float(w), idx) for w, idx in
                  [(1.0, (0, 1)), (0.5, (2, 3)), (-0.75, (1, 4)), (0.25, (0, 5))]]
@@ -261,13 +263,15 @@ class TestFusedLoopedParitySingle:
         gb = rng.uniform(0.0, 1.0, (batch, p))
         bb = rng.uniform(0.0, 1.0, (batch, p))
         fused = sim.get_expectation_batch(gb, bb)
-        looped = sim.get_expectation_batch(gb, bb, mode="looped")
-        np.testing.assert_allclose(fused, looped, rtol=2e-5, atol=2e-5)
+        costs = sim.get_cost_diagonal()
+        want = [reference_expectation(costs, g, b, mixer=mixer)
+                for g, b in zip(gb, bb)]
+        np.testing.assert_allclose(fused, want, rtol=2e-5, atol=2e-5)
         fused_states = [sim.get_statevector(r)
                         for r in sim.simulate_qaoa_batch(gb, bb)]
         for i, sv in enumerate(fused_states):
             assert sv.dtype == np.complex64
-            ref = sim.get_statevector(sim.simulate_qaoa(gb[i], bb[i]))
+            ref = reference_state(costs, gb[i], bb[i], mixer=mixer)
             np.testing.assert_allclose(sv, ref, rtol=2e-4, atol=2e-5)
 
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,10 +1,11 @@
-"""Thread-safety of the caches underneath the serving layer.
+"""Thread-safety of the caches and evaluation underneath the serving layer.
 
 The serving layer executes engine batches on a thread pool, so the
 process-wide diagonal cache, the per-simulator plan cache and the lazily
 built derived tables must tolerate concurrent access.  The diagonal cache is
 additionally *single-flight*: concurrent misses for the same problem must
-cost exactly one precomputation.
+cost exactly one precomputation.  Concurrent evaluations on one simulator
+must return the sequential values on every full-tier backend.
 """
 
 import threading
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import repro
+from repro.fur import available_backends
 from repro.fur.cache import DiagonalCache
+from repro.problems import labs
 from repro.problems.terms import validate_terms
 
 N = 8
@@ -83,19 +86,41 @@ class TestEnginePlanCache:
         assert all(p is first for p in plans)
         assert sim.engine.plan_cache_size() == 1
 
-    def test_concurrent_batched_evaluation_is_consistent(self):
-        sim = repro.simulator(N, terms=TERMS, backend="python")
-        rng = np.random.default_rng(11)
-        gammas = rng.uniform(0, 1, size=(4, 2))
-        betas = rng.uniform(0, 1, size=(4, 2))
-        expected = sim.get_expectation_batch(gammas, betas)
+    @pytest.mark.parametrize("backend",
+                             available_backends(capability="statevector"))
+    def test_concurrent_batched_evaluation_is_consistent(self, backend):
+        """Concurrent calls with *distinct* schedules return sequential values.
 
-        results = run_in_threads(
-            lambda i: sim.get_expectation_batch(gammas, betas))
-        for values in results:
-            np.testing.assert_allclose(values, expected, rtol=1e-12)
-        # every evaluation after the first hit the compiled plan
-        assert sim.engine.stats.plan_compiles == 1
+        Providers keep per-simulator scratch (workspaces, gather and swap
+        buffers, shard layouts); identical schedules in every thread would
+        hide a shared-scratch race, so each thread evaluates its own.
+        """
+        n, p = 9, 3
+        sim = repro.simulator(n, terms=labs.get_terms(n), backend=backend)
+        rng = np.random.default_rng(11)
+        gammas = rng.uniform(0, 1, size=(N_THREADS, 2, p))
+        betas = rng.uniform(0, 1, size=(N_THREADS, 2, p))
+        expected_batch = [sim.get_expectation_batch(g, b)
+                          for g, b in zip(gammas, betas)]
+        expected_single = [sim.get_expectation(sim.simulate_qaoa(g[0], b[0]))
+                           for g, b in zip(gammas, betas)]
+
+        def work(i):
+            out = []
+            for _ in range(2):
+                out.append(sim.get_expectation_batch(gammas[i], betas[i]))
+                out.append(sim.get_expectation(
+                    sim.simulate_qaoa(gammas[i][0], betas[i][0])))
+            return out
+
+        for i, values in enumerate(run_in_threads(work)):
+            for batch, single in zip(values[::2], values[1::2]):
+                np.testing.assert_allclose(batch, expected_batch[i],
+                                           rtol=1e-10, atol=1e-10)
+                assert single == pytest.approx(expected_single[i],
+                                               rel=1e-10, abs=1e-10)
+        # every evaluation after the first compile hit the cached plans
+        assert sim.engine.stats.plan_compiles == 2  # reduce and state plans
 
 
 class TestLazyDerivedCaches:
