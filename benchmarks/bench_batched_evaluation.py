@@ -6,8 +6,7 @@ thousands of objective evaluations over the *same* precomputed diagonal.
 This benchmark measures the shared execution engine (a ``(B, 2^n)`` state
 block evolved through all layers, see :mod:`repro.fur.engine` — the only
 evaluation path, ``simulate_qaoa`` included) on the LABS workload the paper
-uses: fused throughput per backend, what the plan-rewrite optimizer buys,
-and the double-vs-single precision trade (``precision="single"``: complex64
+uses: fused throughput per backend and the double-vs-single precision trade (``precision="single"``: complex64
 state, half the bytes per amplitude).  Every backend's values are checked
 against the independent per-vector reference of :mod:`repro.testing`.
 
@@ -23,14 +22,12 @@ Usage::
 
 Full size is B=32 schedules, n=16 qubits, p=4 layers; ``--check`` fails the
 run unless the single-precision expectations stay within the 1e-5 relative
-error envelope, every optimizer pass runs on the ``python`` and ``c``
-backends, the cut pipeline matches the uncut reference and, at full size,
-the plan-rewrite optimizer (``optimize="default"``) beats the unoptimized op
-stream (``optimize="none"``) on the ``python`` and ``c`` backends and the
-``jit`` tier beats ``c``.  ``--engine-report`` additionally records the
-engine's plan-compile time, blocks executed, per-backend fused throughput —
-including the distributed families — and the optimized-vs-unoptimized
-rewrite section in ``BENCH_engine.json``.
+error envelope, the cut pipeline matches the uncut reference and, at full
+size, the ``jit`` tier beats ``c``; every benchmarked backend's fused values
+must match the per-vector reference (checked on the warm-up call).
+``--engine-report`` additionally records the engine's plan-compile time,
+blocks executed and per-backend fused throughput — including the
+distributed families — in ``BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -78,40 +75,16 @@ def _best_of(callable_, repeats: int) -> float:
     return best
 
 
-def _paired_timings(callables: list, repeats: int) -> np.ndarray:
-    """Per-round timings with the candidates interleaved, shape (repeats, k).
-
-    Used for close pairs (the optimized-vs-unoptimized plans differ by a few
-    percent): alternating the candidates inside each round makes every round
-    a *paired* sample, so machine drift (frequency scaling, cache state)
-    hits both sides equally and cancels in the per-round ratio.  Callers
-    compare via the median of those ratios — far more stable at few-percent
-    margins than comparing two independently-located best-of floors.
-    """
-    times = np.empty((repeats, len(callables)))
-    for rep in range(repeats):
-        for i, fn in enumerate(callables):
-            start = time.perf_counter()
-            fn()
-            times[rep, i] = time.perf_counter() - start
-    return times
-
-
 def bench_backend(backend: str, terms, n: int, batch: int, p: int,
                   repeats: int, rng: np.random.Generator,
                   simulator_kwargs: dict | None = None) -> dict:
-    """Time the engine's ``get_expectation_batch`` with and without rewrites.
-
-    The fused path is timed with the plan-rewrite optimizer on and disabled
-    (``optimize="none"``), so the report records what the rewrite passes
-    (phase-into-mixer fusion, exchange coalescing) buy per backend.
-    """
+    """Time the engine's fused ``get_expectation_batch`` on one backend."""
     sim = repro.simulator(n, terms=terms, backend=backend,
                           **(simulator_kwargs or {}))
     gammas = rng.uniform(0.0, 1.0, (batch, p))
     betas = rng.uniform(0.0, 1.0, (batch, p))
 
-    # One untimed warm-up round per plan before any timed repeat: the first
+    # One untimed warm-up round before any timed repeat: the first
     # call compiles the execution plan and (jit tier) the kernels
     # themselves, so timing it would skew the round by the one-time JIT
     # cost.  Compile time is recorded as its own fields below
@@ -119,28 +92,18 @@ def bench_backend(backend: str, terms, n: int, batch: int, p: int,
     # warm-up results double as the correctness cross-check against the
     # independent per-vector reference.
     fused_values = sim.get_expectation_batch(gammas, betas)
-    unopt_values = sim.get_expectation_batch(gammas, betas, optimize="none")
     costs = sim.get_cost_diagonal()
     reference = [reference_expectation(costs, g, b)
                  for g, b in zip(gammas, betas)]
     np.testing.assert_allclose(fused_values, reference, rtol=1e-10)
-    np.testing.assert_allclose(fused_values, unopt_values, rtol=1e-10)
 
-    pairs = _paired_timings(
-        [lambda: sim.get_expectation_batch(gammas, betas),
-         lambda: sim.get_expectation_batch(gammas, betas, optimize="none")],
-        10 * repeats)
-    fused = float(pairs[:, 0].min())
-    unoptimized = float(pairs[:, 1].min())
+    fused = _best_of(lambda: sim.get_expectation_batch(gammas, betas),
+                     10 * repeats)
     stats = sim.engine.stats.as_dict()
     record = {
         "backend": backend,
         "fused_s": fused,
         "fused_schedules_per_s": batch / fused,
-        "unoptimized_s": unoptimized,
-        # Median of the paired per-round ratios (see _paired_timings) — the
-        # drift-cancelling statistic the rewrite gate asserts on.
-        "rewrite_speedup": float(np.median(pairs[:, 1] / pairs[:, 0])),
         # One-time compile costs, recorded apart from the timed rounds: the
         # engine's plan compilation and the provider's kernel JIT (numba
         # specialization / the jit tier's shared-object build).
@@ -362,16 +325,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{rec['backend']:>8}  {rec['fused_s']:>11.3f}  "
               f"{rec['fused_schedules_per_s']:>9.1f}{extra}")
 
-    print(f"\nPlan rewrites: fused path, optimize=default vs optimize=none")
-    print(f"{'backend':>8}  {'none [s]':>11}  {'default [s]':>11}  {'speedup':>8}  passes")
-    for rec in results:
-        passes = ", ".join(f"{name}:{entry['rewrites']}"
-                           for name, entry in rec["engine"]["rewrites"].items()
-                           if entry["rewrites"])
-        print(f"{rec['backend']:>8}  {rec['unoptimized_s']:>11.3f}  "
-              f"{rec['fused_s']:>11.3f}  {rec['rewrite_speedup']:>7.2f}x  "
-              f"{passes or '-'}")
-
     print(f"\nPrecision: fused double vs single (complex128 vs complex64 state)")
     print(f"{'backend':>8}  {'double [s]':>11}  {'single [s]':>11}  {'speedup':>8}  "
           f"{'mem ratio':>9}  {'max rel err':>12}")
@@ -481,22 +434,6 @@ def main(argv: list[str] | None = None) -> int:
               f"cut value {adm['value']:+.6f} in {adm['eval_s']:.3f} s "
               f"(fragments {adm['fragment_qubits']} qubits)")
 
-        # Per-pass rows: every optimizer pass that ran for each backend,
-        # including the zero-rewrite ones (so a pass silently not firing is
-        # visible in the record).
-        per_pass = [
-            {"backend": r["backend"], "pass": name, **entry}
-            for r in results + distributed_results + baseline_results
-            for name, entry in r["engine"]["rewrites"].items()
-        ]
-        print(f"\nPer-pass rewrite rows")
-        print(f"{'backend':>8}  {'pass':>24}  {'runs':>5}  {'rewrites':>8}  "
-              f"{'ops before/after':>16}")
-        for row in per_pass:
-            print(f"{row['backend']:>8}  {row['pass']:>24}  {row['runs']:>5}  "
-                  f"{row['rewrites']:>8}  "
-                  f"{row['ops_before']:>7} / {row['ops_after']:<6}")
-
         all_recs = results + distributed_results + baseline_results
         compile_s = sum(r["engine"]["compile_time_s"] for r in all_recs)
         kernel_compile_s = sum(r["engine"]["kernel_compile_time_s"]
@@ -521,19 +458,6 @@ def main(argv: list[str] | None = None) -> int:
             "baselines": baseline_results,
             "sharded": sharded_results,
             "sharded_gate": sharded_gate,
-            # Optimized-vs-unoptimized report: what the plan-rewrite passes
-            # buy on the fused path, per backend.
-            "rewrite": [
-                {
-                    "backend": r["backend"],
-                    "optimized_s": r["fused_s"],
-                    "unoptimized_s": r["unoptimized_s"],
-                    "speedup": r["rewrite_speedup"],
-                    "passes": r["engine"]["rewrites"],
-                }
-                for r in results + distributed_results + baseline_results
-            ],
-            "per_pass": per_pass,
             # Circuit-cutting fragment pipeline: fragment evaluation time,
             # cut-vs-uncut parity, telemetry, and the beyond-memory
             # admission record.
@@ -569,21 +493,6 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"OK: single-precision expectations within {SINGLE_PRECISION_RTOL:g} "
               "relative of double")
-        # The full six-pass pipeline must actually run on the CPU families
-        # (presence of a row, not a rewrite count: zero-rewrite rows are
-        # legitimate, a missing row means the pass silently stopped running).
-        required_passes = ("fuse-phase-mixer", "fold-initial-phase",
-                           "fuse-mixer-expectation", "eliminate-noops",
-                           "reorder-commuting")
-        missing = [(r["backend"], name) for r in results
-                   if r["backend"] in ("python", "c")
-                   for name in required_passes
-                   if name not in r["engine"]["rewrites"]]
-        if missing:
-            print(f"FAIL: optimizer passes missing from the engine report: "
-                  f"{missing}", file=sys.stderr)
-            return 1
-        print("OK: all optimizer passes ran on the python and c backends")
     if args.check and cutting_rec is not None:
         # The cutting pipeline's acceptance bars (ROADMAP item 2): the cut
         # expectation must match the uncut reference, and the pipeline must
@@ -631,19 +540,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"OK: sharded(best) beats the best single-worker backend "
                   f"by >= {REQUIRED_SHARDED_SPEEDUP}x")
     if args.check and not args.smoke:
-        # The plan-rewrite acceptance bar (full-size only, like the other
-        # perf gates): the optimized plan must beat the unoptimized op
-        # stream on the python and c backends.
-        slow_rewrite = [r for r in results
-                        if r["backend"] in ("python", "c")
-                        and r["rewrite_speedup"] <= 1.0]
-        if slow_rewrite:
-            print(f"FAIL: optimize='default' does not beat optimize='none': "
-                  f"{[(r['backend'], round(r['rewrite_speedup'], 3)) for r in slow_rewrite]}",
-                  file=sys.stderr)
-            return 1
-        print("OK: optimize='default' beats optimize='none' on the python "
-              "and c backends")
         # The jit kernel tier's acceptance bar (ROADMAP item 3): its
         # single-pass fused kernels must beat the c backend's fused
         # throughput at full size, whichever implementation path is live.

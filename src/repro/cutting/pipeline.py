@@ -121,7 +121,6 @@ class CutQAOAPipeline:
                  backend: Any = "auto",
                  mixer: str = "x",
                  precision: str | None = None,
-                 optimize: str | None = None,
                  n_workers: int = 2,
                  **simulator_kwargs: Any) -> None:
         if mixer != "x":
@@ -142,7 +141,7 @@ class CutQAOAPipeline:
         self._n1 = len(self.spec.fragment_a)
         self._n2 = len(self.assignment.f2_qubits)
         build = dict(backend=backend, mixer=mixer, precision=precision,
-                     optimize=optimize, **simulator_kwargs)
+                     **simulator_kwargs)
         # A zero-weight placeholder keeps term-requiring backends (gates)
         # working when one fragment ends up with no phase terms at all.
         self.sim1 = _construct_simulator(

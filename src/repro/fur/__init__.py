@@ -77,34 +77,7 @@ from .engine import (
     ExecutionEngine,
     ExecutionPlan,
     EngineStats,
-    ExpectationOp,
-    FusedMixerExpectationOp,
-    FusedPhaseMixerOp,
-    InitialPhaseOp,
     KernelProvider,
-    MergedMixerOp,
-    MergedPhaseOp,
-    MixerOp,
-    PhaseOp,
-)
-from .rewrite import (
-    DEFAULT_PASSES,
-    OPTIMIZE_LEVELS,
-    STRUCTURAL_PASSES,
-    CoalesceExchanges,
-    EliminateNoOps,
-    FoldInitialPhase,
-    FuseMixerIntoExpectation,
-    FusePhaseIntoMixer,
-    ReorderCommuting,
-    RewritePass,
-    RewriteReport,
-    resolve_optimize,
-    run_passes,
-)
-from .costmodel import (
-    PlanCostModel,
-    order_structural_passes,
 )
 from .cvect import (
     QAOAFURXSimulatorC,
@@ -159,29 +132,6 @@ __all__ = [
     "ExecutionPlan",
     "EngineStats",
     "KernelProvider",
-    "PhaseOp",
-    "InitialPhaseOp",
-    "MergedPhaseOp",
-    "MixerOp",
-    "MergedMixerOp",
-    "FusedPhaseMixerOp",
-    "FusedMixerExpectationOp",
-    "ExpectationOp",
-    "OPTIMIZE_LEVELS",
-    "resolve_optimize",
-    "RewritePass",
-    "RewriteReport",
-    "FusePhaseIntoMixer",
-    "CoalesceExchanges",
-    "EliminateNoOps",
-    "FoldInitialPhase",
-    "FuseMixerIntoExpectation",
-    "ReorderCommuting",
-    "DEFAULT_PASSES",
-    "STRUCTURAL_PASSES",
-    "run_passes",
-    "PlanCostModel",
-    "order_structural_passes",
     "CAPABILITY_TIERS",
     "CAPABILITY_OPERATIONS",
     "UnsupportedBackendKwargError",
@@ -202,10 +152,8 @@ __all__ = [
 @register_backend("c", aliases=("cpu",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "fuse-mixer-expectation", "reorder-commuting"),
                   priority=100,
-                  constructor_kwargs=("block_size", "precision", "optimize"),
+                  constructor_kwargs=("block_size", "precision"),
                   description="cache-blocked, allocation-free CPU kernels")
 def _load_c_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     return {
@@ -218,10 +166,8 @@ def _load_c_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("python", aliases=("numpy",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "fuse-mixer-expectation", "reorder-commuting"),
                   priority=50,
-                  constructor_kwargs=("precision", "optimize"),
+                  constructor_kwargs=("precision",),
                   description="portable NumPy reference implementation")
 def _load_python_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     return {
@@ -260,11 +206,9 @@ def _jit_dynamic_priority() -> int:
 @register_backend("jit", aliases=("numba",), mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "fuse-mixer-expectation", "reorder-commuting"),
                   priority=60,
                   dynamic_priority=_jit_dynamic_priority,
-                  constructor_kwargs=("precision", "optimize"),
+                  constructor_kwargs=("precision",),
                   description="single-pass cache-blocked fused kernels "
                               "(numba; compiled-C/numpy fallback ladder)",
                   describe_extra=_jit_describe_extra)
@@ -293,11 +237,9 @@ def _sharded_describe_extra() -> str:
                   mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "fold-initial-phase",
-                                 "coalesce-exchanges", "reorder-commuting"),
                   priority=40,
                   constructor_kwargs=("n_shards", "n_workers", "inner",
-                                      "block_size", "precision", "optimize"),
+                                      "block_size", "precision"),
                   description="in-process sharded backend: global/local qubit "
                               "slabs, worker pool, coalesced slab swaps",
                   describe_extra=_sharded_describe_extra)
@@ -317,10 +259,9 @@ def _load_sharded_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 @register_backend("gpu", aliases=("nbcuda",), mixers=("x", "xyring", "xycomplete"),
                   device="gpu", distributed=False,
-                  precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer",), priority=30,
+                  precisions=("double", "single"), priority=30,
                   constructor_kwargs=("device", "device_spec", "block_size",
-                                      "precision", "optimize"),
+                                      "precision"),
                   description="simulated-GPU backend (numba-CUDA analogue)")
 def _load_gpu_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .simgpu import (
@@ -338,10 +279,9 @@ def _load_gpu_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 @register_backend("gpumpi", mixers=("x",), device="gpu", distributed=True,
                   precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer", "coalesce-exchanges"),
                   priority=20,
                   constructor_kwargs=("n_ranks", "alltoall_algorithm", "block_size",
-                                      "parallel_local", "precision", "optimize"),
+                                      "parallel_local", "precision"),
                   description="distributed GPU backend (custom Alltoall, Algorithm 4)")
 def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .mpi import QAOAFURXSimulatorGPUMPI
@@ -350,10 +290,9 @@ def _load_gpumpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 
 
 @register_backend("cusvmpi", aliases=("custatevec",), mixers=("x",), device="gpu",
-                  distributed=True, precisions=("double", "single"),
-                  plan_rewrites=("fuse-phase-mixer",), priority=10,
+                  distributed=True, precisions=("double", "single"), priority=10,
                   constructor_kwargs=("n_ranks", "block_size", "parallel_local",
-                                      "precision", "optimize"),
+                                      "precision"),
                   description="distributed index-bit-swap backend (cuStateVec analogue)")
 def _load_cusvmpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
     from .mpi import QAOAFURXSimulatorCUSVMPI
@@ -364,10 +303,9 @@ def _load_cusvmpi_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("gates", aliases=("statevector",),
                   mixers=("x", "xyring", "xycomplete"),
                   device="cpu", distributed=False,
-                  precisions=("double", "single"),
-                  plan_rewrites=("reorder-commuting",), priority=5,
+                  precisions=("double", "single"), priority=5,
                   constructor_kwargs=("mixer", "phase_strategy", "dtype",
-                                      "precision", "optimize"),
+                                      "precision"),
                   description="gate-by-gate state-vector baseline "
                               "(Qiskit/cuStateVec analogue)")
 def _load_gates_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
@@ -387,9 +325,8 @@ def _load_gates_backend() -> dict[str, type[QAOAFastSimulatorBase]]:
 @register_backend("tensornet", aliases=("tn",), mixers=("x",),
                   device="cpu", distributed=False,
                   precisions=("double",),
-                  capabilities="expectation-only",
-                  plan_rewrites=("reorder-commuting",), priority=1,
-                  constructor_kwargs=("precision", "optimize", "width_heuristic"),
+                  capabilities="expectation-only", priority=1,
+                  constructor_kwargs=("precision", "width_heuristic"),
                   description="tensor-network contraction baseline "
                               "(expectation-only; cuTensorNet/QTensor analogue)")
 def _load_tensornet_backend() -> dict[str, type[QAOAFastSimulatorBase]]:

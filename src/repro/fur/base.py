@@ -24,10 +24,13 @@ logic, which is where the precomputed diagonal is reused.
 Every evaluation (``simulate_qaoa``, ``simulate_qaoa_batch``,
 ``get_expectation_batch``) is orchestrated by the shared execution engine
 (:mod:`repro.fur.engine`), which evolves ``(rows, 2^n)`` state blocks
-through compiled plans.  The :class:`~repro.fur.engine.KernelProvider`
-hooks (``_stage_block``, ``_apply_phase_block``, ``_apply_mixer_block``,
-``_block_expectations``, ...) declared here are the entire per-backend
-surface of that engine; no backend runs a layer loop of its own.
+through one fixed layer walk.  The :class:`~repro.fur.engine.KernelProvider`
+hooks declared here (``_stage_block``, the layer hooks
+``_apply_layer_block`` / ``_apply_last_layer_expectations``, ...) are the
+entire per-backend surface of that engine; no backend runs a layer loop of
+its own.  The two layer hooks default to a composition of
+``_apply_phase_block``, ``_apply_mixer_block`` and ``_block_expectations``;
+a backend with a fused kernel overrides them.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from ..problems.terms import Term, validate_terms
 from .cache import cached_cost_diagonal
 from .diagonal import CompressedDiagonal, DiagonalPhaseTable, build_phase_table
 from .precision import PrecisionSpec, resolve_precision
-from .rewrite import resolve_optimize
 
 __all__ = [
     "QAOAFastSimulatorBase",
@@ -193,13 +195,6 @@ class QAOAFastSimulatorBase(abc.ABC):
         (complex64 state with float32 phase diagonals) — see
         :mod:`repro.fur.precision`.  Expectation values are accumulated in
         float64 regardless of the state precision.
-    optimize:
-        ``"default"`` (the plan-rewrite optimizer passes of
-        :mod:`repro.fur.rewrite` transform compiled execution plans — phase
-        sweeps fuse into mixer sweeps, distributed exchanges coalesce across
-        the batch, zero-angle ops are dropped) or ``"none"`` (plans keep the
-        unrewritten op stream).  Per-call overridable on the batched entry
-        points; part of the plan-cache key.
     """
 
     #: human-readable backend name ("python", "c", "gpu", "gpumpi", "cusvmpi")
@@ -209,42 +204,18 @@ class QAOAFastSimulatorBase(abc.ABC):
     #: whether the mixer consumes a ping-pong scratch block (set by the
     #: gemm-grouped X mixers; XY mixers run in place through the workspace)
     _mixer_needs_scratch: bool = False
-    #: whether :meth:`_apply_phase_mixer_block` is implemented — gates the
-    #: FusePhaseIntoMixer rewrite (set per mixer class, e.g. X-mixer only)
-    supports_fused_phase_mixer: bool = False
-    #: whether :meth:`_apply_mixer_block_coalesced` is implemented — gates
-    #: the CoalesceExchanges rewrite (the distributed Alltoall family)
-    supports_coalesced_exchange: bool = False
     #: capability tier (see :mod:`repro.fur.capabilities`): what request
     #: kinds this simulator family can serve (``"full"``,
     #: ``"expectation-only"`` or ``"amplitude-only"``)
     capability_tier: str = "full"
-    #: whether :meth:`_stage_phase_block` is implemented — gates the
-    #: FoldInitialPhase rewrite (layer-0 phase written during |+> staging)
-    supports_staged_phase: bool = False
-    #: whether :meth:`_apply_mixer_expectation_block` is implemented — gates
-    #: the FuseMixerIntoExpectation rewrite (final mixer's copy-back skipped,
-    #: expectation reduced straight out of the ping-pong buffer)
-    supports_fused_mixer_expectation: bool = False
-    #: whether this class's mixer commutes with itself at different angles
-    #: (exact for X: exp(-iβ₁ΣX)·exp(-iβ₂ΣX) = exp(-i(β₁+β₂)ΣX)) — gates the
-    #: mixer-merging half of the ReorderCommuting rewrite
-    mixer_self_commutes: bool = False
-    #: whether the fused kernels execute a whole layer in one cache-blocked
-    #: pass over the block (the ``jit`` tier's X mixer) — the rewrite cost
-    #: model then prices mixer sweeps at ~2 streamed passes instead of one
-    #: per qubit when ordering the structural passes
-    supports_single_pass: bool = False
 
     def __init__(self, n_qubits: int,
                  terms: Iterable[tuple[float, Iterable[int]]] | None = None,
                  costs: np.ndarray | CompressedDiagonal | None = None, *,
-                 precision: str | PrecisionSpec = "double",
-                 optimize: str = "default") -> None:
+                 precision: str | PrecisionSpec = "double") -> None:
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         self._precision = resolve_precision(precision)
-        self._optimize = resolve_optimize(optimize)
         if (terms is None) == (costs is None):
             raise ValueError("provide exactly one of `terms` or `costs`")
         self._n_qubits = int(n_qubits)
@@ -353,11 +324,6 @@ class QAOAFastSimulatorBase(abc.ABC):
     def precision_spec(self) -> PrecisionSpec:
         """The resolved :class:`~repro.fur.precision.PrecisionSpec`."""
         return self._precision
-
-    @property
-    def optimize(self) -> str:
-        """Default plan-optimizer level (``"default"`` or ``"none"``)."""
-        return self._optimize
 
     @property
     def complex_dtype(self) -> np.dtype:
@@ -474,7 +440,6 @@ class QAOAFastSimulatorBase(abc.ABC):
                             betas_batch: Sequence[Sequence[float]] | np.ndarray,
                             sv0: np.ndarray | None = None, *,
                             memory_budget: float | None = None,
-                            optimize: str | None = None,
                             **kwargs: Any) -> list[Any]:
         """Simulate a batch of (γ, β) schedules over the same problem.
 
@@ -483,21 +448,18 @@ class QAOAFastSimulatorBase(abc.ABC):
         1-D initial state or a ``(B, 2^n)`` block supplying one initial state
         per schedule row (the circuit-cutting fragment-variant shape).  The
         shared execution engine evolves ``(B, 2^n)`` state blocks through all
-        layers at once; ``memory_budget`` bounds the block scratch by
-        splitting large batches into sub-batches, and ``optimize`` overrides
-        the simulator's plan-optimizer level for this call (``"none"`` pins
-        the unrewritten op stream).
+        layers at once; ``memory_budget`` (a finite positive byte count)
+        bounds the block scratch by splitting large batches into
+        sub-batches.
         """
         return self.engine.simulate_batch(gammas_batch, betas_batch, sv0=sv0,
-                                          memory_budget=memory_budget,
-                                          optimize=optimize, **kwargs)
+                                          memory_budget=memory_budget, **kwargs)
 
     def get_expectation_batch(self, gammas_batch: Sequence[Sequence[float]] | np.ndarray,
                               betas_batch: Sequence[Sequence[float]] | np.ndarray,
                               costs: np.ndarray | CompressedDiagonal | None = None,
                               sv0: np.ndarray | None = None, *,
                               memory_budget: float | None = None,
-                              optimize: str | None = None,
                               **kwargs: Any) -> np.ndarray:
         """Objective values for a batch of schedules, as a length-``B`` array.
 
@@ -506,12 +468,12 @@ class QAOAFastSimulatorBase(abc.ABC):
         the diagonal resolved to float64 exactly once for the whole batch and
         expectations accumulated in float64 regardless of the state precision
         (the engine-wide policy).  See :meth:`simulate_qaoa_batch` for the
-        ``sv0``, ``memory_budget`` and ``optimize`` semantics.
+        ``sv0`` and ``memory_budget`` semantics.
         """
         return self.engine.expectation_batch(gammas_batch, betas_batch,
                                              costs=costs, sv0=sv0,
                                              memory_budget=memory_budget,
-                                             optimize=optimize, **kwargs)
+                                             **kwargs)
 
     # -- kernel-provider hooks (engine-driven; see repro.fur.engine) ---------
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
@@ -542,18 +504,6 @@ class QAOAFastSimulatorBase(abc.ABC):
             "kernel-provider protocol"
         )
 
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> Any:
-        """Stage ``exp(-i γ_r c[x]) / sqrt(N)`` directly (layer-0 phase fold).
-
-        Only reached for plans rewritten by the FoldInitialPhase pass, which
-        is gated on :attr:`supports_staged_phase` — providers setting the
-        flag must implement this.
-        """
-        raise NotImplementedError(
-            f"backend {self.backend_name!r} advertises phased staging "
-            "but does not implement _stage_phase_block"
-        )
-
     def _mixer_scratch(self, block: Any) -> Any:
         """Per-sub-batch ping-pong scratch (providers with scratch mixers override)."""
         return None
@@ -565,51 +515,28 @@ class QAOAFastSimulatorBase(abc.ABC):
                            n_trotters: int, scratch: Any) -> None:
         raise NotImplementedError
 
-    def _apply_mixer_block_coalesced(self, block: Any, betas: np.ndarray,
-                                     n_trotters: int, scratch: Any) -> None:
-        """Mixer sweep with batch-coalesced global exchanges.
+    def _apply_layer_block(self, block: Any, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int, scratch: Any,
+                           plan: Any) -> None:
+        """One QAOA layer: a phase sweep, then a mixer sweep.
 
-        Only reached for ops rewritten by the CoalesceExchanges pass, which
-        is gated on :attr:`supports_coalesced_exchange` — providers setting
-        the flag must implement this.
+        Providers with a fused phase+mixer kernel override this (and the
+        engine then counts the layer as fused).
         """
-        raise NotImplementedError(
-            f"backend {self.backend_name!r} advertises coalesced exchanges "
-            "but does not implement _apply_mixer_block_coalesced"
-        )
+        self._apply_phase_block(block, gammas, plan)
+        self._apply_mixer_block(block, betas, n_trotters, scratch)
 
-    def _apply_phase_mixer_block(self, block: Any, gammas: np.ndarray,
-                                 betas: np.ndarray, op: Any, scratch: Any,
-                                 plan: Any) -> None:
-        """Fused phase+mixer sweep of one layer.
-
-        Only reached for ops rewritten by the FusePhaseIntoMixer pass, which
-        is gated on :attr:`supports_fused_phase_mixer` — providers setting
-        the flag must implement this.
-        """
-        raise NotImplementedError(
-            f"backend {self.backend_name!r} advertises the fused phase+mixer "
-            "kernel but does not implement _apply_phase_mixer_block"
-        )
-
-    def _apply_mixer_expectation_block(self, block: Any,
-                                       gammas: np.ndarray | None,
-                                       betas: np.ndarray, op: Any,
+    def _apply_last_layer_expectations(self, block: Any, gammas: np.ndarray,
+                                       betas: np.ndarray, n_trotters: int,
                                        scratch: Any, costs: Any,
                                        plan: Any) -> np.ndarray:
-        """Final mixer sweep fused into the expectation reduction.
+        """The last layer, then the per-row float64 objective reduction.
 
-        ``gammas`` is non-``None`` when the layer's phase rides along
-        (``op.with_phase``).  Only reached for plans rewritten by the
-        FuseMixerIntoExpectation pass, which is gated on
-        :attr:`supports_fused_mixer_expectation` — providers setting the
-        flag must implement this.
+        Providers whose reduction can ride the last mixer sweep override
+        this.
         """
-        raise NotImplementedError(
-            f"backend {self.backend_name!r} advertises the fused "
-            "mixer+expectation kernel but does not implement "
-            "_apply_mixer_expectation_block"
-        )
+        self._apply_layer_block(block, gammas, betas, n_trotters, scratch, plan)
+        return self._block_expectations(block, costs)
 
     def _block_expectations(self, block: Any, costs: Any) -> np.ndarray:
         raise NotImplementedError

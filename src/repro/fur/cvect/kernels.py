@@ -310,7 +310,7 @@ def apply_phase_batch_inplace(svb: np.ndarray, costs: np.ndarray, gammas: np.nda
             buf = workspace.phase_scratch[: e - s]
             idx = inverse[s:e]
             for r in range(rows):
-                np.take(factors[r], idx, out=buf)
+                np.take(factors[r], idx, out=buf, mode="clip")
                 svb[r, s:e] *= buf
         return svb
     for s in range(0, n, chunk):

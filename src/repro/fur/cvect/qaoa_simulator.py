@@ -31,7 +31,6 @@ from .kernels import (
 )
 from ..python.furx import furx_all_batch, furx_phase_all_batch
 from ..python.furxy import complete_edges, ring_edges
-from ..python.qaoa_simulator import staged_phase_block
 
 __all__ = [
     "QAOAFURXSimulatorC",
@@ -44,15 +43,13 @@ class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
     """Shared blocked-kernel provider; subclasses supply the mixer."""
 
     backend_name = "c"
-    supports_staged_phase = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 precision: str = "double",
-                 optimize: str = "default") -> None:
+                 precision: str = "double") -> None:
         self._block_size = int(block_size)
         super().__init__(n_qubits, terms=terms, costs=costs,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     def _post_init(self) -> None:
         self._workspace = KernelWorkspace(self._n_states, self._block_size,
@@ -69,12 +66,6 @@ class _QAOAFURCSimulatorBase(QAOAFastSimulatorBase):
     # -- kernel-provider hooks (driven by repro.fur.engine) -------------------
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         return self._validate_sv0_block(sv0, rows)
-
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> np.ndarray:
-        """FoldInitialPhase staging: write ``exp(-i γ_r c)/√N`` in one pass."""
-        return staged_phase_block(gammas, self._phase_costs(), self._n_states,
-                                  self._precision.complex_dtype,
-                                  phase_table=plan.phase_tables)
 
     def _mixer_scratch(self, block: np.ndarray) -> np.ndarray:
         return np.empty_like(block)
@@ -116,9 +107,6 @@ class QAOAFURXSimulatorC(_QAOAFURCSimulatorBase):
 
     mixer_name = "x"
     _mixer_needs_scratch = True
-    supports_fused_phase_mixer = True
-    supports_fused_mixer_expectation = True
-    mixer_self_commutes = True
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
@@ -128,10 +116,10 @@ class QAOAFURXSimulatorC(_QAOAFURCSimulatorBase):
         # furx_all_blocked at machine precision).
         furx_all_batch(block, betas, self._n_qubits, scratch=scratch)
 
-    def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
-                                 betas: np.ndarray, op: Any,
-                                 scratch: np.ndarray | None, plan: Any) -> None:
-        """FusedPhaseMixerOp kernel: phase factors feed the first gemm pass
+    def _apply_layer_block(self, block: np.ndarray, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int,
+                           scratch: np.ndarray | None, plan: Any) -> None:
+        """Fused layer: phase factors feed the first gemm pass
         chunk-by-chunk, so phase + pass 1 stream the block exactly once.
         The workspace's phase scratch serves as the gather buffer — the
         fused layer allocates nothing after warm-up."""
@@ -140,22 +128,18 @@ class QAOAFURXSimulatorC(_QAOAFURCSimulatorBase):
                              costs=self._phase_costs(), scratch=scratch,
                              phase_buf=self._workspace.phase_scratch)
 
-    def _apply_mixer_expectation_block(self, block: np.ndarray,
-                                       gammas: np.ndarray | None,
-                                       betas: np.ndarray, op: Any,
+    def _apply_last_layer_expectations(self, block: np.ndarray,
+                                       gammas: np.ndarray, betas: np.ndarray,
+                                       n_trotters: int,
                                        scratch: np.ndarray | None,
                                        costs: np.ndarray, plan: Any) -> np.ndarray:
-        """FusedMixerExpectationOp kernel: reduce out of the ping-pong buffer,
-        skipping the final mixer's copy-back (one state-block write saved)."""
-        if gammas is not None:
-            out = furx_phase_all_batch(block, gammas, betas, self._n_qubits,
-                                       phase_table=plan.phase_tables,
-                                       costs=self._phase_costs(), scratch=scratch,
-                                       phase_buf=self._workspace.phase_scratch,
-                                       copy_back=False)
-        else:
-            out = furx_all_batch(block, betas, self._n_qubits, scratch=scratch,
-                                 copy_back=False)
+        """Fused last layer: reduce out of the ping-pong buffer, skipping
+        the final mixer's copy-back (one state-block write saved)."""
+        out = furx_phase_all_batch(block, gammas, betas, self._n_qubits,
+                                   phase_table=plan.phase_tables,
+                                   costs=self._phase_costs(), scratch=scratch,
+                                   phase_buf=self._workspace.phase_scratch,
+                                   copy_back=False)
         return expectation_batch_inplace(out, costs, self._workspace)
 
 

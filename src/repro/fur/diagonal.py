@@ -327,6 +327,16 @@ class DiagonalPhaseTable:
     #: index of each basis state's cost in ``unique_values``, shape (2^n,)
     inverse: np.ndarray
 
+    def __post_init__(self) -> None:
+        # The phase kernels gather with ``np.take(..., mode="clip")`` (no
+        # bounds check, no full-length temporary), so the one range check
+        # of ``inverse`` happens here, where a hand-built table is made.
+        n_unique = self.unique_values.shape[0]
+        if self.inverse.size and (self.inverse.min() < 0
+                                  or self.inverse.max() >= n_unique):
+            raise ValueError(
+                f"phase-table inverse indices must lie in [0, {n_unique})")
+
     @property
     def n_unique(self) -> int:
         """Number of distinct cost values U."""
@@ -357,8 +367,9 @@ class DiagonalPhaseTable:
     def phases(self, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
         """Full-length phase vector ``exp(-i γ c)`` via table gather."""
         if out is None:
-            return self.factors(gamma)[self.inverse]
-        np.take(self.factors(gamma, dtype=out.dtype), self.inverse, out=out)
+            return np.take(self.factors(gamma), self.inverse, mode="clip")
+        np.take(self.factors(gamma, dtype=out.dtype), self.inverse, out=out,
+                mode="clip")
         return out
 
 

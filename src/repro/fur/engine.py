@@ -1,4 +1,4 @@
-"""Layered execution-plan engine shared by every simulator backend.
+"""Layered execution engine shared by every simulator backend.
 
 Before this module existed, the orchestration of batched QAOA evaluation —
 layer sequencing, phase-table reuse, memory-budgeted sub-batch splitting,
@@ -8,21 +8,32 @@ per-backend fused loops), and the distributed backends evaluated one
 schedule at a time.  The engine extracts that orchestration into exactly one
 place:
 
-* a ``(p, mixer, precision, n_trotters, batch-memory-budget)`` tuple is
-  *compiled* into an :class:`ExecutionPlan` — a declarative sequence of layer
-  ops (:class:`PhaseOp`, :class:`MixerOp`, terminated by an
-  :class:`ExpectationOp` when the batch is reduced to objective values) plus
-  the resolved phase tables;
+* a ``(p, n_trotters, batch-memory-budget, reduce)`` shape is *compiled*
+  into an :class:`ExecutionPlan` carrying everything resolved up front (the
+  phase tables, the validated budget);
 * plans are cached per simulator (next to the resolved-diagonal/phase-table
   caches the base class already keeps), so repeated evaluation at the same
   depth — the Fig. 2 optimization loop — pays for exactly one compilation;
-* execution walks the op list over ``(rows, 2^n)`` state blocks, splitting
-  batches that exceed the memory budget into sub-batches and reusing one
-  mixer scratch block per sub-batch;
+* execution is one fixed layer walk over ``(rows, 2^n)`` state blocks: stage
+  the block, apply each layer through the provider's
+  :meth:`~KernelProvider._apply_layer_block` hook and, when the batch is
+  reduced to objective values, let the last layer run through
+  :meth:`~KernelProvider._apply_last_layer_expectations` — splitting batches
+  that exceed the memory budget into sub-batches and reusing one mixer
+  scratch block per sub-batch;
 * backends participate through the narrow :class:`KernelProvider` protocol
-  (stage a block, apply one phase/mixer layer to it, reduce it, split it,
-  release it) — a new backend, mixer or device is a ~100-line kernel
-  provider, never a fourth copy of the orchestration loop.
+  (stage a block, apply one layer to it, reduce it, split it, release it) —
+  a new backend, mixer or device is a ~100-line kernel provider, never a
+  fourth copy of the orchestration loop.
+
+One QAOA layer is the paper's two streaming sweeps over the diagonal and
+the state: a phase sweep, then a mixer sweep.  The base class composes the
+two layer hooks from the ``_apply_phase_block``/``_apply_mixer_block``/
+``_block_expectations`` primitives; a provider with a fused kernel (phase
+riding the first mixer pass, or the reduction riding the last one)
+overrides the hook instead.  Layers run through an overridden
+:meth:`~KernelProvider._apply_layer_block` are counted in
+:attr:`EngineStats.fused_ops_executed`.
 
 The engine is the only evaluation path: a single-schedule
 :meth:`~repro.fur.base.QAOAFastSimulatorBase.simulate_qaoa` call is a
@@ -30,57 +41,26 @@ one-row :meth:`ExecutionEngine.simulate_batch`, so no backend keeps a layer
 loop of its own.  Execution holds the owning simulator's execution lock,
 because providers keep per-simulator scratch (workspaces, gather and swap
 buffers, shard layouts) that concurrent calls would otherwise share.
-
-After a plan's base op list is built, the optimizer pass pipeline
-(:mod:`repro.fur.rewrite`) rewrites it: phase sweeps fuse into the following
-mixer sweep (:class:`~repro.fur.rewrite.FusedPhaseMixerOp`), distributed
-exchanges coalesce across the batch, and zero-angle ops are eliminated per
-batch.  The ``optimize="default"|"none"`` knob (simulator constructor,
-batched entry points, plan-cache key) switches the pipeline off entirely so
-optimized plans can always be pinned against the unoptimized op stream.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import threading
 import time
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .base import validate_angle_batches
+from .base import QAOAFastSimulatorBase, validate_angle_batches
 from .capabilities import UnsupportedCapabilityError, require_capability
 from .diagonal import CompressedDiagonal
-from .rewrite import (
-    ExpectationOp,
-    FusedMixerExpectationOp,
-    FusedPhaseMixerOp,
-    InitialPhaseOp,
-    MergedMixerOp,
-    MergedPhaseOp,
-    MixerOp,
-    PhaseOp,
-    PlanOp,
-    RewriteReport,
-    resolve_optimize,
-    run_passes,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .base import QAOAFastSimulatorBase
 
 __all__ = [
-    "PhaseOp",
-    "InitialPhaseOp",
-    "MergedPhaseOp",
-    "MixerOp",
-    "MergedMixerOp",
-    "FusedPhaseMixerOp",
-    "FusedMixerExpectationOp",
-    "ExpectationOp",
     "UnsupportedCapabilityError",
     "ExecutionPlan",
     "EngineStats",
@@ -89,12 +69,36 @@ __all__ = [
 ]
 
 
+def _validate_n_trotters(n_trotters: Any) -> int:
+    """``n_trotters`` as a positive int; a non-integral value is an error
+    (truncating ``2.9`` to 2 slices would silently change the circuit)."""
+    try:
+        value = operator.index(n_trotters)
+    except TypeError:
+        raise ValueError(
+            f"n_trotters must be an integer, got {n_trotters!r}") from None
+    if value < 1:
+        raise ValueError("n_trotters must be at least 1")
+    return value
+
+
+def _validate_memory_budget(memory_budget: Any) -> float | None:
+    """``None`` (backend default) or a finite, positive byte count."""
+    if memory_budget is None:
+        return None
+    budget = float(memory_budget)
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(
+            f"memory_budget must be a finite positive number of bytes, "
+            f"got {memory_budget!r}")
+    return budget
+
+
 def _plan_key(p: int, n_trotters: int, memory_budget: float | None,
-              reduce: bool, precision: str, optimize: str) -> tuple:
+              reduce: bool, precision: str) -> tuple:
     """The plan-cache key — the single definition shared by the engine's
     cache lookup and :attr:`ExecutionPlan.key`."""
-    return (int(p), int(n_trotters), memory_budget, bool(reduce), precision,
-            optimize)
+    return (int(p), int(n_trotters), memory_budget, bool(reduce), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +109,10 @@ def _plan_key(p: int, n_trotters: int, memory_budget: float | None,
 class ExecutionPlan:
     """A compiled, cacheable recipe for evaluating batches of QAOA schedules.
 
-    The plan is declarative: :attr:`ops` is the exact sequence of layer
-    operations the engine will drive through the owning simulator's kernel
-    provider, and everything resolved at compile time (the phase tables, the
-    memory budget) rides along so execution touches no caches.
+    Every plan is walked the same way (stage, ``p`` layers, optional
+    reduction riding the last one); what the plan carries is everything
+    resolved at compile time (the phase tables, the memory budget), so
+    execution touches no caches.
     """
 
     #: number of QAOA layers p
@@ -121,15 +125,8 @@ class ExecutionPlan:
     n_trotters: int
     #: memory budget (bytes) for block scratch; ``None`` = backend default
     memory_budget: float | None
-    #: whether the plan ends in an objective reduction (ExpectationOp)
+    #: whether the last layer reduces the block to objective values
     reduce: bool
-    #: optimizer level the plan was compiled at ("default" or "none")
-    optimize: str
-    #: the declarative op sequence executed per sub-batch (already rewritten
-    #: by the structural optimizer passes when ``optimize != "none"``)
-    ops: tuple[PlanOp, ...]
-    #: per-pass reports of the compile-time rewrites applied to :attr:`ops`
-    rewrites: tuple[RewriteReport, ...]
     #: provider-specific phase-table object(s) resolved at compile time
     #: (a :class:`~repro.fur.diagonal.DiagonalPhaseTable` for single-address-
     #: space backends, a per-rank tuple for the distributed families, or
@@ -143,7 +140,7 @@ class ExecutionPlan:
     def key(self) -> tuple:
         """The cache key this plan is stored under."""
         return _plan_key(self.p, self.n_trotters, self.memory_budget,
-                         self.reduce, self.precision, self.optimize)
+                         self.reduce, self.precision)
 
 
 @dataclass
@@ -161,22 +158,11 @@ class EngineStats:
     rows_executed: int = 0
     #: always 0 (there is no looped path); kept because benchmark reports read it
     looped_evaluations: int = 0
-    #: FusedPhaseMixerOp executions (fused ops are counted distinctly from
-    #: the split phase/mixer sweeps so rewrite wins are visible in reports)
+    #: layers executed through a provider's fused ``_apply_layer_block``
+    #: kernel, counted once per layer per block
     fused_ops_executed: int = 0
-    #: mixer/fused ops executed with a batch-coalesced global exchange
-    coalesced_exchange_ops: int = 0
-    #: zero-angle ops dropped by the per-batch EliminateNoOps pass
+    #: always 0 (no op is ever dropped); kept because benchmark reports read it
     ops_eliminated: int = 0
-    #: blocks staged with the layer-0 phase folded into the |+> write
-    #: (the FoldInitialPhase rewrite's _stage_phase_block path)
-    staged_phase_ops: int = 0
-    #: FusedMixerExpectationOp executions (final mixer reduced without the
-    #: ping-pong copy-back — the FuseMixerIntoExpectation rewrite)
-    mixer_expectation_fused_ops: int = 0
-    #: MergedPhaseOp/MergedMixerOp executions (adjacent sweeps collapsed to
-    #: one with summed angles — the ReorderCommuting rewrite)
-    merged_ops_executed: int = 0
     #: slab-exchange messages sent by the in-process sharded backend (one
     #: pairwise slab swap counts two messages, mirroring the MPI traces)
     shard_exchanges: int = 0
@@ -187,20 +173,6 @@ class EngineStats:
     #: wall-clock seconds spent inside parallel shard dispatches (the
     #: denominator of the per-shard busy fractions)
     shard_wall_s: float = 0.0
-    #: per-pass rewrite totals: pass name -> {"runs", "rewrites",
-    #: "ops_before", "ops_after"} accumulated over every pipeline run
-    rewrites: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def record_rewrites(self, reports: tuple[RewriteReport, ...]) -> None:
-        """Accumulate one pipeline run's per-pass reports."""
-        for report in reports:
-            entry = self.rewrites.setdefault(report.pass_name, {
-                "runs": 0, "rewrites": 0, "ops_before": 0, "ops_after": 0,
-            })
-            entry["runs"] += 1
-            entry["rewrites"] += report.rewrites
-            entry["ops_before"] += report.ops_before
-            entry["ops_after"] += report.ops_after
 
     def as_dict(self) -> dict:
         """Plain-dict snapshot for JSON reports."""
@@ -213,16 +185,10 @@ class EngineStats:
             "rows_executed": self.rows_executed,
             "looped_evaluations": self.looped_evaluations,
             "fused_ops_executed": self.fused_ops_executed,
-            "coalesced_exchange_ops": self.coalesced_exchange_ops,
             "ops_eliminated": self.ops_eliminated,
-            "staged_phase_ops": self.staged_phase_ops,
-            "mixer_expectation_fused_ops": self.mixer_expectation_fused_ops,
-            "merged_ops_executed": self.merged_ops_executed,
             "shard_exchanges": self.shard_exchanges,
             "exchange_bytes": self.exchange_bytes,
             "shard_busy_fraction": self.shard_busy_fractions(),
-            "rewrites": {name: dict(entry)
-                         for name, entry in self.rewrites.items()},
         }
 
     def shard_busy_fractions(self) -> dict[str, float]:
@@ -255,17 +221,6 @@ class KernelProvider(Protocol):
 
     #: whether the mixer consumes a ping-pong scratch block
     _mixer_needs_scratch: bool
-    #: whether :meth:`_apply_phase_mixer_block` is implemented (gates the
-    #: FusePhaseIntoMixer rewrite; mixer-specific — e.g. X-mixer only)
-    supports_fused_phase_mixer: bool
-    #: whether :meth:`_apply_mixer_block_coalesced` is implemented (gates the
-    #: CoalesceExchanges rewrite; only the distributed Alltoall family)
-    supports_coalesced_exchange: bool
-    #: whether the provider's fused kernels execute a whole layer in one
-    #: cache-blocked pass over the block (the ``jit`` tier) — consumed by
-    #: the rewrite cost model, which then prices mixer sweeps at ~2 streamed
-    #: passes instead of one per qubit
-    supports_single_pass: bool
 
     def _batch_rows(self, remaining: int, memory_budget: float | None) -> int:
         """Rows of the next sub-batch (re-derived as device results accumulate)."""
@@ -280,29 +235,17 @@ class KernelProvider(Protocol):
         """Allocate the per-sub-batch ping-pong scratch for the mixer."""
         ...
 
-    def _apply_phase_block(self, block: Any, gammas: np.ndarray,
+    def _apply_layer_block(self, block: Any, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int, scratch: Any,
                            plan: ExecutionPlan) -> None:
-        """One phase sweep over the block (``plan.phase_tables`` pre-resolved)."""
+        """One QAOA layer: the phase sweep, then the mixer sweep."""
         ...
 
-    def _apply_mixer_block(self, block: Any, betas: np.ndarray,
-                           n_trotters: int, scratch: Any) -> None:
-        """One mixer sweep over the block."""
-        ...
-
-    def _apply_mixer_block_coalesced(self, block: Any, betas: np.ndarray,
-                                     n_trotters: int, scratch: Any) -> None:
-        """Mixer sweep with batch-coalesced global exchanges (optional)."""
-        ...
-
-    def _apply_phase_mixer_block(self, block: Any, gammas: np.ndarray,
-                                 betas: np.ndarray, op: FusedPhaseMixerOp,
-                                 scratch: Any, plan: ExecutionPlan) -> None:
-        """Fused phase+mixer sweep of one layer (optional kernel)."""
-        ...
-
-    def _block_expectations(self, block: Any, costs: Any) -> np.ndarray:
-        """Per-row objective values (float64) against a staged diagonal."""
+    def _apply_last_layer_expectations(self, block: Any, gammas: np.ndarray,
+                                       betas: np.ndarray, n_trotters: int,
+                                       scratch: Any, costs: Any,
+                                       plan: ExecutionPlan) -> np.ndarray:
+        """The last layer followed by the per-row (float64) reduction."""
         ...
 
     def _block_results(self, block: Any) -> list[Any]:
@@ -352,6 +295,9 @@ class ExecutionEngine:
         #: guards the plan cache and stats (reentrant: compile records stats)
         self._lock = threading.RLock()
         self.stats = EngineStats()
+        #: whether the provider runs a layer as one fused kernel
+        self._fused_layers = (type(simulator)._apply_layer_block
+                              is not QAOAFastSimulatorBase._apply_layer_block)
 
     # -- plan compilation ----------------------------------------------------
     @property
@@ -394,44 +340,28 @@ class ExecutionEngine:
 
     def plan(self, p: int, *, n_trotters: int = 1,
              memory_budget: float | None = None,
-             reduce: bool = True,
-             optimize: str | None = None) -> ExecutionPlan:
+             reduce: bool = True) -> ExecutionPlan:
         """The cached plan for a depth/budget tuple, compiling on first use.
 
-        The cache key includes the simulator precision and the ``optimize``
-        level, so tests can assert that a precision change (a new simulator),
-        a ``p``/``n_trotters``/budget change or an optimizer toggle
-        recompiles while repeated evaluation at the same shape hits the
-        cache.  ``optimize=None`` defaults to the owning simulator's knob;
-        with ``"default"`` the structural rewrite passes
-        (:data:`~repro.fur.rewrite.DEFAULT_PASSES`) transform the op list at
-        compile time and the per-pass reports ride along on the plan.
+        ``n_trotters`` and ``memory_budget`` are validated here, before the
+        lookup, so a malformed value raises :class:`ValueError` instead of
+        compiling (and caching) a plan.  The cache key includes the
+        simulator precision, so a precision change (a new simulator) or a
+        ``p``/``n_trotters``/budget change recompiles while repeated
+        evaluation at the same shape hits the cache.
         """
         if p <= 0:
             raise ValueError("p must be positive")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        optimize = resolve_optimize(self._sim.optimize if optimize is None
-                                    else optimize)
+        n_trotters = _validate_n_trotters(n_trotters)
+        memory_budget = _validate_memory_budget(memory_budget)
         key = _plan_key(p, n_trotters, memory_budget, reduce,
-                        self._sim.precision, optimize)
+                        self._sim.precision)
         with self._lock:
             cached = self._plans.get(key)
             if cached is not None:
                 self.stats.plan_cache_hits += 1
                 return cached
             start = time.perf_counter()
-            ops: list[PlanOp] = []
-            for layer in range(p):
-                ops.append(PhaseOp(layer=layer))
-                ops.append(MixerOp(layer=layer, n_trotters=int(n_trotters)))
-            if reduce:
-                ops.append(ExpectationOp())
-            ops = tuple(ops)
-            reports: tuple[RewriteReport, ...] = ()
-            if optimize != "none":
-                ops, reports = run_passes(ops, self._sim, stage="compile")
-                self.stats.record_rewrites(reports)
             # Resolving the phase tables here (rather than per sub-batch) makes
             # the first compile pay the one-time unique-value factorization; the
             # simulator-level cache makes subsequent compiles near-free.
@@ -440,12 +370,9 @@ class ExecutionEngine:
                 p=int(p),
                 mixer=self._sim.mixer_name,
                 precision=self._sim.precision,
-                n_trotters=int(n_trotters),
+                n_trotters=n_trotters,
                 memory_budget=memory_budget,
                 reduce=bool(reduce),
-                optimize=optimize,
-                ops=ops,
-                rewrites=reports,
                 phase_tables=tables,
                 compile_time_s=time.perf_counter() - start,
             )
@@ -473,95 +400,34 @@ class ExecutionEngine:
         return arr, True
 
     @staticmethod
-    def _n_trotters(kwargs: dict) -> int:
-        """Extract ``n_trotters`` from the call's kwargs, reject the rest."""
+    def _n_trotters(kwargs: dict) -> Any:
+        """Extract ``n_trotters`` from the call's kwargs, reject the rest
+        (the value itself is validated by :meth:`plan`)."""
         n_trotters = kwargs.pop("n_trotters", 1)
         if kwargs:
             raise TypeError(f"unexpected keyword arguments: {sorted(kwargs)}")
-        if n_trotters < 1:
-            raise ValueError("n_trotters must be at least 1")
-        return int(n_trotters)
+        return n_trotters
 
     # -- execution -----------------------------------------------------------
-    def _batch_ops(self, plan: ExecutionPlan, g: np.ndarray,
-                   b: np.ndarray) -> tuple[PlanOp, ...]:
-        """The plan's ops specialized to one batch's angle columns.
-
-        Runs the angle-dependent optimizer passes (zero-angle elimination)
-        when the plan was compiled with optimization on; a column is a no-op
-        exactly when it is zero across the *whole* batch, so every sub-batch
-        shares the specialized sequence.
-        """
-        if plan.optimize == "none":
-            return plan.ops
-        ops, reports = run_passes(plan.ops, self._sim, gammas=g, betas=b,
-                                  stage="execute")
-        with self._lock:
-            self.stats.record_rewrites(reports)
-            self.stats.ops_eliminated += sum(r.ops_before - r.ops_after
-                                             for r in reports)
-        return ops
-
-    def _run_ops(self, plan: ExecutionPlan, ops: tuple[PlanOp, ...],
-                 g_sub: np.ndarray, b_sub: np.ndarray,
-                 sv0: np.ndarray | None, staged_costs: Any) -> tuple[Any, np.ndarray | None]:
-        """Drive one sub-batch block through an op sequence."""
+    def _run_block(self, plan: ExecutionPlan, g_sub: np.ndarray,
+                   b_sub: np.ndarray, sv0: np.ndarray | None,
+                   staged_costs: Any) -> tuple[Any, np.ndarray | None]:
+        """Walk one sub-batch block through the plan's ``p`` layers."""
         sim = self._sim
-        staged_phase = 0
-        if ops and isinstance(ops[0], InitialPhaseOp) and sv0 is None:
-            # FoldInitialPhase: the head phase is written during staging.
-            # With a custom sv0 the shortcut does not apply — the op then
-            # degrades to a plain phase sweep in the loop below.
-            block = sim._stage_phase_block(g_sub[:, ops[0].layer], plan)
-            ops = ops[1:]
-            staged_phase = 1
-        else:
-            block = sim._stage_block(sv0, g_sub.shape[0])
+        block = sim._stage_block(sv0, g_sub.shape[0])
         scratch = sim._mixer_scratch(block) if sim._mixer_needs_scratch else None
-        values: np.ndarray | None = None
-        fused_ops = coalesced_ops = mixer_expectation_ops = merged_ops = 0
-        for op in ops:
-            if isinstance(op, (PhaseOp, InitialPhaseOp)):
-                sim._apply_phase_block(block, g_sub[:, op.layer], plan)
-            elif isinstance(op, MergedPhaseOp):
-                sim._apply_phase_block(
-                    block, g_sub[:, list(op.layers)].sum(axis=1), plan)
-                merged_ops += 1
-            elif isinstance(op, FusedPhaseMixerOp):
-                sim._apply_phase_mixer_block(block, g_sub[:, op.layer],
-                                             b_sub[:, op.layer], op, scratch,
-                                             plan)
-                fused_ops += 1
-                if op.coalesce:
-                    coalesced_ops += 1
-            elif isinstance(op, (MixerOp, MergedMixerOp)):
-                if isinstance(op, MergedMixerOp):
-                    betas = b_sub[:, list(op.layers)].sum(axis=1)
-                    merged_ops += 1
-                else:
-                    betas = b_sub[:, op.layer]
-                if op.coalesce:
-                    sim._apply_mixer_block_coalesced(block, betas,
-                                                     op.n_trotters, scratch)
-                    coalesced_ops += 1
-                else:
-                    sim._apply_mixer_block(block, betas, op.n_trotters,
-                                           scratch)
-            elif isinstance(op, FusedMixerExpectationOp):
-                values = sim._apply_mixer_expectation_block(
-                    block, g_sub[:, op.layer] if op.with_phase else None,
-                    b_sub[:, op.layer], op, scratch, staged_costs, plan)
-                mixer_expectation_ops += 1
-                if op.with_phase:
-                    fused_ops += 1
-            else:  # ExpectationOp
-                values = sim._block_expectations(block, staged_costs)
+        last = plan.p - 1 if plan.reduce else plan.p
+        for layer in range(last):
+            sim._apply_layer_block(block, g_sub[:, layer], b_sub[:, layer],
+                                   plan.n_trotters, scratch, plan)
+        values = None
+        if plan.reduce:
+            values = sim._apply_last_layer_expectations(
+                block, g_sub[:, last], b_sub[:, last], plan.n_trotters,
+                scratch, staged_costs, plan)
         with self._lock:
-            self.stats.fused_ops_executed += fused_ops
-            self.stats.coalesced_exchange_ops += coalesced_ops
-            self.stats.mixer_expectation_fused_ops += mixer_expectation_ops
-            self.stats.merged_ops_executed += merged_ops
-            self.stats.staged_phase_ops += staged_phase
+            if self._fused_layers:
+                self.stats.fused_ops_executed += plan.p
             self.stats.blocks_executed += 1
             self.stats.rows_executed += int(g_sub.shape[0])
         return block, values
@@ -583,7 +449,7 @@ class ExecutionEngine:
     def simulate_batch(self, gammas_batch, betas_batch,
                        sv0: np.ndarray | None = None, *,
                        memory_budget: float | None = None,
-                       optimize: str | None = None, **kwargs: Any) -> list[Any]:
+                       **kwargs: Any) -> list[Any]:
         """Evolve a batch of schedules; one backend result object per schedule.
 
         Requires a ``statevector``-capable backend: an ``expectation-only``
@@ -593,16 +459,15 @@ class ExecutionEngine:
         """
         require_capability(self._sim, "statevector")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
-        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
         plan = self.plan(g.shape[1], n_trotters=self._n_trotters(kwargs),
-                         memory_budget=memory_budget, reduce=False,
-                         optimize=optimize)
-        ops = self._batch_ops(plan, g, b)
+                         memory_budget=memory_budget, reduce=False)
+        sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
         results: list[Any] = []
         with self._sim._exec_lock:
-            for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-                block, _ = self._run_ops(plan, ops, g[r0:r1], b[r0:r1],
-                                         sv0[r0:r1] if per_row else sv0, None)
+            for r0, r1 in self._sub_batches(g.shape[0], plan.memory_budget):
+                block, _ = self._run_block(plan, g[r0:r1], b[r0:r1],
+                                           sv0[r0:r1] if per_row else sv0,
+                                           None)
                 results.extend(self._sim._block_results(block))
         return results
 
@@ -610,7 +475,7 @@ class ExecutionEngine:
                           costs: np.ndarray | CompressedDiagonal | None = None,
                           sv0: np.ndarray | None = None, *,
                           memory_budget: float | None = None,
-                          optimize: str | None = None, **kwargs: Any) -> np.ndarray:
+                          **kwargs: Any) -> np.ndarray:
         """Objective values for a batch of schedules, as a length-``B`` array.
 
         The diagonal is resolved to float64 exactly once for the whole batch
@@ -620,19 +485,17 @@ class ExecutionEngine:
         """
         require_capability(self._sim, "expectation")
         g, b = validate_angle_batches(gammas_batch, betas_batch)
+        plan = self.plan(g.shape[1], n_trotters=self._n_trotters(kwargs),
+                         memory_budget=memory_budget, reduce=True)
         resolved_costs = self._sim._resolve_costs(costs)
         sv0, per_row = self._resolve_sv0(sv0, g.shape[0])
-        plan = self.plan(g.shape[1], n_trotters=self._n_trotters(kwargs),
-                         memory_budget=memory_budget, reduce=True,
-                         optimize=optimize)
-        ops = self._batch_ops(plan, g, b)
         out = np.empty(g.shape[0], dtype=np.float64)
         with self._sim._exec_lock:
             staged = self._sim._stage_batch_costs(resolved_costs)
             try:
-                for r0, r1 in self._sub_batches(g.shape[0], memory_budget):
-                    block, values = self._run_ops(
-                        plan, ops, g[r0:r1], b[r0:r1],
+                for r0, r1 in self._sub_batches(g.shape[0], plan.memory_budget):
+                    block, values = self._run_block(
+                        plan, g[r0:r1], b[r0:r1],
                         sv0[r0:r1] if per_row else sv0, staged)
                     try:
                         out[r0:r1] = values

@@ -1,9 +1,9 @@
 """Single-pass cache-blocked fused kernels (the ``jit`` backend tier).
 
-Every other CPU backend executes a fused op as a *sequence* of numpy passes
+Every other CPU backend executes a fused layer as a *sequence* of numpy passes
 over the ``(rows, 2^n)`` block — a phase-table gather, then one gemm per
 butterfly group — so throughput is pinned to memory bandwidth times the pass
-count.  The kernels here execute an entire fused op in one pass: per
+count.  The kernels here execute an entire fused layer in one pass: per
 cache-sized tile of each row they apply the phase multiply and *all* SU(2)
 butterflies whose stride fits the tile, then finish the few high-qubit
 strides with streaming sweeps.  ~6 flops/amplitude/qubit instead of the gemm
@@ -942,7 +942,7 @@ def _np_phase(block, gammas, phase_table, costs):
         factors = phase_table.factors_batch(g, dtype=block.dtype)
         buf = np.empty(n, dtype=block.dtype)
         for r in range(rows):
-            np.take(factors[r], phase_table.inverse, out=buf)
+            np.take(factors[r], phase_table.inverse, out=buf, mode="clip")
             block[r] *= buf
         return
     if costs is None:

@@ -2,12 +2,13 @@
 
 The classes here are thin :class:`~repro.fur.engine.KernelProvider`
 adapters over :mod:`repro.fur.jit.kernels`: every engine hook maps to one
-compiled kernel call, so a fused op really is a single pass over the
+compiled kernel call, so a fused layer really is a single pass over the
 ``(rows, 2^n)`` block.  Unlike the gemm-formulated backends the X mixer
 runs fully in place (``_mixer_needs_scratch = False``), which also doubles
-the rows each sub-batch fits into the engine's memory budget, and it sets
-``supports_single_pass`` so the rewrite cost model prices its mixer sweeps
-at ~2 streamed passes instead of one per qubit.
+the rows each sub-batch fits into the engine's memory budget.  Both mixer
+families override the engine's ``_apply_layer_block`` hook with one fused
+phase+mixer kernel per layer; the X mixer also overrides
+``_apply_last_layer_expectations``, so the reduction rides the last sweep.
 
 Kernel compilation is lazy: the first engine hook on a new ``(dtype, n,
 mixer)`` signature triggers it (numba type specialization, or the one-time
@@ -22,7 +23,6 @@ from typing import Any
 import numpy as np
 
 from ..base import QAOAFastSimulatorBase
-from ..python.qaoa_simulator import staged_phase_block
 from . import kernels
 
 __all__ = [
@@ -36,8 +36,6 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
     """Shared provider plumbing; subclasses supply the mixer kernel."""
 
     backend_name = "jit"
-    supports_staged_phase = True
-    supports_fused_phase_mixer = True
 
     # -- lazy per-signature kernel compilation -------------------------------
     def _ensure_kernels(self) -> None:
@@ -50,11 +48,6 @@ class _QAOAFURJITSimulatorBase(QAOAFastSimulatorBase):
     # -- kernel-provider hooks (driven by repro.fur.engine) ------------------
     def _stage_block(self, sv0: np.ndarray | None, rows: int) -> np.ndarray:
         return self._validate_sv0_block(sv0, rows)
-
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> np.ndarray:
-        return staged_phase_block(gammas, self._phase_costs(), self._n_states,
-                                  self._precision.complex_dtype,
-                                  phase_table=plan.phase_tables)
 
     def _apply_phase_block(self, block: np.ndarray, gammas: np.ndarray,
                            plan: Any) -> None:
@@ -90,9 +83,6 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
 
     mixer_name = "x"
     _mixer_needs_scratch = False  # in-place butterflies: no ping-pong buffer
-    supports_fused_mixer_expectation = True
-    mixer_self_commutes = True
-    supports_single_pass = True
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
@@ -100,21 +90,21 @@ class QAOAFURXSimulatorJIT(_QAOAFURJITSimulatorBase):
         self._ensure_kernels()
         kernels.furx_block(block, betas)
 
-    def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
-                                 betas: np.ndarray, op: Any, scratch: Any,
-                                 plan: Any) -> None:
-        """FusedPhaseMixerOp kernel: phase + all butterflies, tile by tile."""
+    def _apply_layer_block(self, block: np.ndarray, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int, scratch: Any,
+                           plan: Any) -> None:
+        """Fused layer: phase + all butterflies, tile by tile."""
         self._ensure_kernels()
         kernels.furx_phase_block(block, gammas, betas,
                                  phase_table=plan.phase_tables,
                                  costs=self._phase_costs())
 
-    def _apply_mixer_expectation_block(self, block: np.ndarray,
-                                       gammas: np.ndarray | None,
-                                       betas: np.ndarray, op: Any,
-                                       scratch: Any, costs: np.ndarray,
+    def _apply_last_layer_expectations(self, block: np.ndarray,
+                                       gammas: np.ndarray, betas: np.ndarray,
+                                       n_trotters: int, scratch: Any,
+                                       costs: np.ndarray,
                                        plan: Any) -> np.ndarray:
-        """FusedMixerExpectationOp kernel: the reduction rides the sweep."""
+        """Fused last layer: the reduction rides the sweep."""
         self._ensure_kernels()
         return kernels.furx_expectation_block(block, gammas, betas, costs,
                                               phase_table=plan.phase_tables,
@@ -132,12 +122,13 @@ class _QAOAFURXYJITSimulatorBase(_QAOAFURJITSimulatorBase):
         kernels.furxy_block(block, None, betas, kind=self._xy_kind,
                             n_trotters=n_trotters)
 
-    def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
-                                 betas: np.ndarray, op: Any, scratch: Any,
-                                 plan: Any) -> None:
+    def _apply_layer_block(self, block: np.ndarray, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int, scratch: Any,
+                           plan: Any) -> None:
+        """Fused layer: phase + Trotterized edge sweeps in one kernel."""
         self._ensure_kernels()
         kernels.furxy_block(block, gammas, betas, kind=self._xy_kind,
-                            n_trotters=getattr(op, "n_trotters", 1),
+                            n_trotters=n_trotters,
                             phase_table=plan.phase_tables,
                             costs=self._phase_costs())
 

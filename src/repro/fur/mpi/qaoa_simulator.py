@@ -89,13 +89,11 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
     """
 
     mixer_name = "x"
-    supports_fused_phase_mixer = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  n_ranks: int = 4, block_size: int = DEFAULT_BLOCK_SIZE,
                  parallel_local: bool = False,
-                 precision: str = "double",
-                 optimize: str = "default") -> None:
+                 precision: str = "double") -> None:
         if n_ranks <= 0 or n_ranks & (n_ranks - 1):
             raise ValueError(f"n_ranks must be a positive power of two, got {n_ranks}")
         k = n_ranks.bit_length() - 1
@@ -109,7 +107,7 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
         self._parallel_local = bool(parallel_local)
         self.traffic_log: list[TrafficTrace] = []
         super().__init__(n_qubits, terms=terms, costs=costs,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     # -- construction ------------------------------------------------------------
     @property
@@ -212,18 +210,9 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
         used (the blocked kernels run in place through the workspaces).
         """
         del n_trotters, scratch
-        self._mixer_block_batch(block, betas, coalesce=False)
-
-    def _apply_mixer_block_coalesced(self, block: list[np.ndarray],
-                                     betas: np.ndarray, n_trotters: int,
-                                     scratch: Any) -> None:
-        """Mixer sweep with the batch-coalesced global exchange (the
-        CoalesceExchanges plan rewrite)."""
-        del n_trotters, scratch
-        self._mixer_block_batch(block, betas, coalesce=True)
+        self._mixer_block_batch(block, betas)
 
     def _mixer_block_batch(self, block: list[np.ndarray], betas: np.ndarray,
-                           coalesce: bool,
                            phase: tuple[np.ndarray, Any] | None = None) -> None:
         """One batched mixer sweep; the single body both entry points share.
 
@@ -247,25 +236,19 @@ class _DistributedFURXBase(QAOAFastSimulatorBase):
 
         self._map_ranks(work)
         if self._k_global > 0:
-            self._apply_global_mixer_batch(block, a_rows, b_rows,
-                                           coalesce=coalesce)
+            self._apply_global_mixer_batch(block, a_rows, b_rows)
 
-    def _apply_phase_mixer_block(self, block: list[np.ndarray],
-                                 gammas: np.ndarray, betas: np.ndarray,
-                                 op: Any, scratch: Any, plan: Any) -> None:
-        """FusedPhaseMixerOp kernel over per-rank slice blocks.
-
-        The phase sweep rides the mixer's per-rank dispatch (see
-        :meth:`_mixer_block_batch`); the global step honours the op's
-        ``coalesce`` flag.
-        """
-        del scratch
-        self._mixer_block_batch(block, betas, coalesce=op.coalesce,
+    def _apply_layer_block(self, block: list[np.ndarray], gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int, scratch: Any,
+                           plan: Any) -> None:
+        """Fused layer over per-rank slice blocks: the phase sweep rides the
+        mixer's per-rank dispatch (see :meth:`_mixer_block_batch`)."""
+        del n_trotters, scratch
+        self._mixer_block_batch(block, betas,
                                 phase=(gammas, plan.phase_tables))
 
     def _apply_global_mixer_batch(self, block: list[np.ndarray],
-                                  a_rows: np.ndarray, b_rows: np.ndarray,
-                                  coalesce: bool = False) -> None:
+                                  a_rows: np.ndarray, b_rows: np.ndarray) -> None:
         """Batched rotations on the k global qubits — strategy-specific."""
         raise NotImplementedError
 
@@ -353,26 +336,14 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
     backend_name = "gpumpi"
 
     @property
-    def supports_coalesced_exchange(self) -> bool:
-        """Whether the CoalesceExchanges rewrite may fire for this instance.
-
-        The coalesced exchange *is* the direct algorithm over whole-block
-        slabs, so it only engages when ``alltoall_algorithm="direct"`` (the
-        default).  A non-direct algorithm request (``ring``/``bruck``/
-        ``pairwise``) keeps the per-row path — otherwise the algorithm knob
-        would be silently inert and every traffic trace would degenerate to
-        one direct round, defeating the communication-algorithm comparison
-        the traffic model exists for.
-        """
-        return self.alltoall_algorithm == "direct"
-
-    @property
     def alltoall_algorithm(self) -> str:
         """The Alltoall algorithm, fixed at construction.
 
-        Read-only because compiled plans bake the coalesce decision derived
-        from it — a post-construction mutation would silently keep serving
-        plans shaped for the old algorithm out of the cache.
+        It also picks the exchange shape: ``"direct"`` (the default)
+        coalesces each exchange into one collective over the whole block
+        (:meth:`_alltoall_block_coalesced`), while ``ring``/``bruck``/
+        ``pairwise`` keep one Alltoall per schedule row so their
+        algorithm-shaped traffic traces stay comparable.
         """
         return self._alltoall_algorithm
 
@@ -380,8 +351,7 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
                  alltoall_algorithm: str = "direct",
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  parallel_local: bool = False,
-                 precision: str = "double",
-                 optimize: str = "default") -> None:
+                 precision: str = "double") -> None:
         if alltoall_algorithm not in ALLTOALL_ALGORITHMS:
             raise ValueError(
                 f"unknown alltoall algorithm {alltoall_algorithm!r}; "
@@ -390,7 +360,7 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
         self._alltoall_algorithm = alltoall_algorithm
         super().__init__(n_qubits, terms=terms, costs=costs, n_ranks=n_ranks,
                          block_size=block_size, parallel_local=parallel_local,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     def _alltoall_block(self, block: list[np.ndarray]) -> None:
         """One Alltoall per schedule row, written back into the block in place."""
@@ -402,7 +372,7 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
                 block[r][i, :] = new_slices[r]
 
     def _alltoall_block_coalesced(self, block: list[np.ndarray]) -> None:
-        """One Alltoall for the *whole* block (the CoalesceExchanges rewrite).
+        """One Alltoall for the *whole* block (the ``direct`` algorithm).
 
         Each rank sends its ``(rows, chunk)`` slab for destination ``d`` in
         one message, so a single collective round moves the entire batch:
@@ -441,12 +411,13 @@ class QAOAFURXSimulatorGPUMPI(_DistributedFURXBase):
         self.traffic_log.append(trace)
 
     def _apply_global_mixer_batch(self, block: list[np.ndarray],
-                                  a_rows: np.ndarray, b_rows: np.ndarray,
-                                  coalesce: bool = False) -> None:
+                                  a_rows: np.ndarray, b_rows: np.ndarray) -> None:
         """Batched Algorithm 4 global step: the rotations between the two
         Alltoall exchanges cover every schedule in one batched sweep per rank.
-        ``coalesce`` selects the block-wide exchange over the per-row one."""
-        exchange = (self._alltoall_block_coalesced if coalesce
+        The ``direct`` algorithm exchanges the whole block at once; the
+        others keep one exchange per schedule row."""
+        exchange = (self._alltoall_block_coalesced
+                    if self.alltoall_algorithm == "direct"
                     else self._alltoall_block)
         exchange(block)
 
@@ -465,19 +436,15 @@ class QAOAFURXSimulatorCUSVMPI(_DistributedFURXBase):
     backend_name = "cusvmpi"
 
     def _apply_global_mixer_batch(self, block: list[np.ndarray],
-                                  a_rows: np.ndarray, b_rows: np.ndarray,
-                                  coalesce: bool = False) -> None:
+                                  a_rows: np.ndarray, b_rows: np.ndarray) -> None:
         """Batched index-bit-swap global step.
 
         The half-slice exchange operates on the state axis of the whole
         ``(rows, local_states)`` block, so every global qubit costs one
         pairwise exchange for *all* schedules at once (rows-independent
         message count — the batched win over one exchange per schedule) and
-        one batched SU(2) sweep on the top local qubit.  ``coalesce`` is
-        accepted for signature compatibility and ignored: this strategy's
-        exchange is already block-coalesced by construction.
+        one batched SU(2) sweep on the top local qubit.
         """
-        del coalesce
         n_local = self.n_local_qubits
         half = 1 << (n_local - 1)
         trace = TrafficTrace()

@@ -108,8 +108,8 @@ def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
     and the alltoall exchanges for the global qubits — then reduces every
     schedule to its objective value with one allreduce.
 
-    With ``coalesce=True`` (the default, mirroring the engine's
-    CoalesceExchanges plan rewrite) each exchange packs the whole block
+    With ``coalesce=True`` (the default, mirroring the ``gpumpi`` backend's
+    ``direct`` exchange) each exchange packs the whole block
     destination-major into *one* alltoall, so the collective count per layer
     is 2 regardless of the batch size; ``coalesce=False`` keeps the
     historical one-alltoall-per-schedule path (bitwise-identical results).
@@ -145,8 +145,8 @@ def qaoa_rank_program_batch(comm: Communicator, n_qubits: int,
         if coalesce:
             # Destination-major packing: all rows' sub-chunks for rank d are
             # contiguous, so one collective carries the whole batch (the
-            # message count stops scaling with B — same rewrite the engine's
-            # CoalesceExchanges pass applies to the driver-form backend).
+            # message count stops scaling with B — the same shape the
+            # driver-form gpumpi backend uses for its direct algorithm).
             packed = np.ascontiguousarray(
                 blk.reshape(batch, size, -1).transpose(1, 0, 2)).reshape(-1)
             recv = comm.alltoall(packed)

@@ -194,8 +194,7 @@ def _group_kron(u: np.ndarray, k: int) -> np.ndarray:
 
 def furx_all_batch(block: np.ndarray, betas: np.ndarray, n_qubits: int, *,
                    group_size: int = BATCH_GROUP_QUBITS,
-                   scratch: np.ndarray | None = None,
-                   copy_back: bool = True) -> np.ndarray:
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Batched Algorithm 2: ``exp(-i β_b Σ_i X_i)`` on every row of a block.
 
     Instead of 2×2 pair updates (one memory sweep per qubit), qubits are fused
@@ -204,9 +203,7 @@ def furx_all_batch(block: np.ndarray, betas: np.ndarray, n_qubits: int, *,
     cuts the number of full-block memory sweeps by ``group_size`` and turns
     the mixer into gemm work.  Passes ping-pong between ``block`` and
     ``scratch``; the final result is always written back into ``block``
-    (modified in place and returned), unless ``copy_back=False`` — then the
-    buffer holding the result is returned without the write-back (read-only
-    consumers like the fused expectation reduction skip a full block sweep).
+    (modified in place and returned).
 
     ``scratch`` must be a buffer with ``block``'s shape and dtype (allocated
     here when omitted; callers evolving many layers should preallocate one).
@@ -217,8 +214,7 @@ def furx_all_batch(block: np.ndarray, betas: np.ndarray, n_qubits: int, *,
     # to the matching-precision gemm instead of a widened fallback.
     u = _su2_batch_matrices(betas_arr, dtype=block.dtype)
     scratch = _check_scratch(block, scratch)
-    return _group_pass_loop(block, scratch, u, n_qubits, 0, group_size,
-                            copy_back=copy_back)
+    return _group_pass_loop(block, scratch, u, n_qubits, 0, group_size)
 
 
 def _validate_group_kernel_block(block: np.ndarray, n_qubits: int,
@@ -361,7 +357,7 @@ def furx_phase_all_batch(block: np.ndarray, gammas: np.ndarray, betas: np.ndarra
         buf = pbuf[: e - s]
         for r in range(rows):
             if phase_table is not None:
-                np.take(factors[r], inverse[s:e], out=buf)
+                np.take(factors[r], inverse[s:e], out=buf, mode="clip")
             else:
                 np.multiply(costs[s:e], coeff[r], out=buf)
                 np.exp(buf, out=buf)

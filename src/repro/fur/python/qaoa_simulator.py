@@ -47,7 +47,6 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
     """Shared host-NumPy kernel provider; subclasses supply the mixer."""
 
     backend_name = "python"
-    supports_staged_phase = True
 
     # -- kernel-provider hooks (driven by repro.fur.engine) -------------------
     #: lazily-allocated phase gather buffer (see :meth:`_gather_buffer`)
@@ -57,26 +56,13 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
         self._phase_buf = None  # (re)allocated lazily on first phase sweep
         return self._validate_sv0_block(sv0, rows)
 
-    def _stage_phase_block(self, gammas: np.ndarray, plan: Any) -> np.ndarray:
-        """FoldInitialPhase staging: write ``exp(-i γ_r c)/√N`` directly.
-
-        The |+> block write and the layer-0 phase sweep collapse into a
-        single pass over the block; the products are computed in the same
-        order as the split path, so the staged block matches it bitwise.
-        """
-        self._phase_buf = None
-        return staged_phase_block(gammas, self._phase_costs(), self._n_states,
-                                  self._precision.complex_dtype,
-                                  phase_table=plan.phase_tables)
-
     def _gather_buffer(self) -> np.ndarray:
         """The per-sub-batch phase gather buffer, allocated on first use.
 
         Shared by the split phase sweep and the fused phase+mixer kernel
-        (one allocation per sub-batch, reused across all ``p`` layers), and
-        lazy so plans whose phase ops were all eliminated never pay for a
-        state-vector-sized allocation; dropped with the block by the
-        reduction hooks so it is never retained beyond the batch.
+        (one allocation per sub-batch, reused across all ``p`` layers),
+        dropped with the block by the reduction hooks so it is never
+        retained beyond the batch.
         """
         if self._phase_buf is None:
             self._phase_buf = np.empty(self._n_states,
@@ -103,7 +89,7 @@ class _QAOAFURPythonSimulatorBase(QAOAFastSimulatorBase):
             factors = table.factors_batch(gammas, dtype=block.dtype)
             buf = self._gather_buffer()
             for r in range(rows):
-                np.take(factors[r], table.inverse, out=buf)
+                np.take(factors[r], table.inverse, out=buf, mode="clip")
                 block[r] *= buf
             return
         costs = self._phase_costs()
@@ -154,78 +140,41 @@ def _block_expectations(block: np.ndarray, costs: np.ndarray,
     return out
 
 
-def staged_phase_block(gammas: np.ndarray, costs: np.ndarray, n_states: int,
-                       dtype: np.dtype, *, phase_table: Any = None,
-                       chunk: int = _BATCH_PHASE_CHUNK) -> np.ndarray:
-    """Build a ``(rows, 2^n)`` block holding ``exp(-i γ_r c)/√N`` directly.
-
-    The FoldInitialPhase staging kernel, shared by the ``python`` and ``c``
-    backends: instead of writing the uniform superposition and then sweeping
-    the layer-0 phase over it, the phase factors (scaled by the |+> norm)
-    are written in one pass.  The factor·norm products are formed exactly as
-    the split path forms norm·factor, so results match it bitwise.
-    """
-    gammas = np.asarray(gammas, dtype=np.float64)
-    rows = gammas.shape[0]
-    norm = np.finfo(dtype).dtype.type(1.0 / np.sqrt(n_states))
-    block = np.empty((rows, n_states), dtype=dtype)
-    if phase_table is not None:
-        factors = phase_table.factors_batch(gammas, dtype=dtype)
-        factors *= norm
-        for r in range(rows):
-            np.take(factors[r], phase_table.inverse, out=block[r])
-        return block
-    coeff = (-1j * gammas).astype(dtype)
-    cols = max(1, chunk // max(rows, 1))
-    for s in range(0, n_states, cols):
-        e = min(s + cols, n_states)
-        factors = np.exp(coeff[:, None] * costs[s:e][None, :])
-        np.multiply(factors, norm, out=block[:, s:e], casting="same_kind")
-    return block
-
-
 class QAOAFURXSimulator(_QAOAFURPythonSimulatorBase):
     """QAOA with the transverse-field mixer ``exp(-i β Σ_i X_i)`` (NumPy)."""
 
     mixer_name = "x"
     _mixer_needs_scratch = True
-    supports_fused_phase_mixer = True
-    supports_fused_mixer_expectation = True
-    mixer_self_commutes = True
 
     def _apply_mixer_block(self, block: np.ndarray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
         furx_all_batch(block, betas, self._n_qubits, scratch=scratch)
 
-    def _apply_phase_mixer_block(self, block: np.ndarray, gammas: np.ndarray,
-                                 betas: np.ndarray, op: Any,
-                                 scratch: np.ndarray | None, plan: Any) -> None:
-        """FusedPhaseMixerOp kernel: the phase rides the first gemm pass."""
+    def _apply_layer_block(self, block: np.ndarray, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int,
+                           scratch: np.ndarray | None, plan: Any) -> None:
+        """Fused layer: the phase rides the first gemm pass."""
         furx_phase_all_batch(block, gammas, betas, self._n_qubits,
                              phase_table=plan.phase_tables,
                              costs=self._phase_costs(), scratch=scratch,
                              phase_buf=self._gather_buffer())
 
-    def _apply_mixer_expectation_block(self, block: np.ndarray,
-                                       gammas: np.ndarray | None,
-                                       betas: np.ndarray, op: Any,
+    def _apply_last_layer_expectations(self, block: np.ndarray,
+                                       gammas: np.ndarray, betas: np.ndarray,
+                                       n_trotters: int,
                                        scratch: np.ndarray | None,
                                        costs: np.ndarray, plan: Any) -> np.ndarray:
-        """FusedMixerExpectationOp kernel: reduce out of the ping-pong buffer.
+        """Fused last layer: reduce out of the ping-pong buffer.
 
         The final mixer's copy-back is skipped (``copy_back=False`` returns
         whichever of block/scratch holds the result) and the expectation is
         reduced straight from it — one full state-block write saved.
         """
-        if gammas is not None:
-            out = furx_phase_all_batch(block, gammas, betas, self._n_qubits,
-                                       phase_table=plan.phase_tables,
-                                       costs=self._phase_costs(), scratch=scratch,
-                                       phase_buf=self._gather_buffer(),
-                                       copy_back=False)
-        else:
-            out = furx_all_batch(block, betas, self._n_qubits, scratch=scratch,
-                                 copy_back=False)
+        out = furx_phase_all_batch(block, gammas, betas, self._n_qubits,
+                                   phase_table=plan.phase_tables,
+                                   costs=self._phase_costs(), scratch=scratch,
+                                   phase_buf=self._gather_buffer(),
+                                   copy_back=False)
         self._phase_buf = None
         return _block_expectations(out, costs)
 

@@ -150,13 +150,6 @@ class BackendSpec:
         (statevector + expectation + amplitude), ``"expectation-only"``
         or ``"amplitude-only"``.  Resolution validates requests against it
         and ``auto`` only ever picks full-tier backends.
-    plan_rewrites:
-        Names of the plan-rewrite optimizer passes (:mod:`repro.fur.rewrite`)
-        at least one of the family's simulator classes has kernels for
-        (e.g. ``"fuse-phase-mixer"``, ``"coalesce-exchanges"``).  Capability
-        *metadata* for introspection — the authoritative per-class gate is
-        the provider attribute the pass checks at compile time (kernels may
-        be mixer-specific).
     priority:
         Resolution order for ``backend="auto"`` — highest available priority
         wins.
@@ -191,7 +184,6 @@ class BackendSpec:
     distributed: bool = False
     precisions: tuple[str, ...] = ("double",)
     capabilities: str = "full"
-    plan_rewrites: tuple[str, ...] = ()
     priority: int = 0
     dynamic_priority: Callable[[], int] | None = None
     description: str = ""
@@ -212,10 +204,6 @@ class BackendSpec:
         """Whether the family's tier serves one operation
         (``"statevector"``, ``"expectation"`` or ``"amplitude"``)."""
         return tier_supports(self.capabilities, operation)
-
-    def supports_rewrite(self, name: str) -> bool:
-        """Whether the family advertises kernels for one plan rewrite."""
-        return name in self.plan_rewrites
 
     def effective_priority(self) -> int:
         """The priority ``auto`` resolution ranks this family at right now.
@@ -312,7 +300,6 @@ class BackendRegistry:
                          distributed: bool = False,
                          precisions: Iterable[str] = ("double",),
                          capabilities: str = "full",
-                         plan_rewrites: Iterable[str] = (),
                          priority: int = 0,
                          dynamic_priority: Callable[[], int] | None = None,
                          description: str = "",
@@ -336,7 +323,6 @@ class BackendRegistry:
                     distributed=distributed,
                     precisions=tuple(resolve_precision(p).name for p in precisions),
                     capabilities=resolve_capability_tier(capabilities),
-                    plan_rewrites=tuple(plan_rewrites),
                     priority=priority,
                     dynamic_priority=dynamic_priority,
                     description=description or (loader.__doc__ or "").strip().split("\n")[0],
@@ -373,11 +359,9 @@ class BackendRegistry:
             if spec.distributed:
                 tags.append("distributed")
             alias_note = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
-            rewrite_note = (f" rewrites={','.join(spec.plan_rewrites)}"
-                            if spec.plan_rewrites else "")
             lines.append(
                 f"{name:>10}  [{'/'.join(tags)}] mixers={','.join(spec.mixers)} "
-                f"precisions={','.join(spec.precisions)}{rewrite_note} "
+                f"precisions={','.join(spec.precisions)} "
                 f"priority={spec.priority}{alias_note}  {spec.description}"
             )
             if spec.describe_extra is not None:
@@ -653,7 +637,6 @@ def simulator(n_qubits: int,
               backend: str | type | Any = "auto",
               mixer: str = "x",
               precision: str | None = None,
-              optimize: str | None = None,
               **simulator_kwargs: Any) -> QAOAFastSimulatorBase:
     """Construct a fast QAOA simulator — the package's single entry point.
 
@@ -681,21 +664,13 @@ def simulator(n_qubits: int,
         envelope — see the README's Precision section).  When omitted, an
         already-constructed simulator instance passes through at whatever
         precision it was built with; an explicit value must match it.
-    optimize:
-        ``"default"`` (plan-rewrite optimizer passes enabled — the default
-        when unspecified) or ``"none"`` (compiled execution plans keep the
-        unrewritten op stream; the pinned baseline of the parity harness).
-        Per-call overridable on the batched entry points.
     simulator_kwargs:
         Forwarded to the backend constructor (e.g. ``block_size`` for the
         ``c`` family, ``n_ranks`` for the distributed families).
     """
     from .base import QAOAFastSimulatorBase  # deferred: base imports first
-    from .rewrite import resolve_optimize
 
     spec_precision = resolve_precision(precision)
-    if optimize is not None:
-        optimize = resolve_optimize(optimize)
     if isinstance(backend, QAOAFastSimulatorBase):
         # An unspecified precision passes the instance through at whatever
         # precision it was built with; only an explicit request is checked.
@@ -704,12 +679,6 @@ def simulator(n_qubits: int,
                 f"simulator instance runs at {backend.precision!r} precision "
                 f"but {spec_precision.name!r} was requested; construct a new "
                 "simulator instead of passing an instance"
-            )
-        if optimize is not None and optimize != backend.optimize:
-            raise ValueError(
-                f"simulator instance runs at optimize={backend.optimize!r} "
-                f"but {optimize!r} was requested; construct a new simulator "
-                "instead of passing an instance (or override per call)"
             )
         return backend
     if isinstance(backend, str):
@@ -726,10 +695,6 @@ def simulator(n_qubits: int,
         # Only forwarded when non-default so third-party simulator classes
         # without a ``precision`` keyword keep working through the facade.
         simulator_kwargs["precision"] = spec_precision.name
-    if optimize is not None and optimize != "default":
-        # Same convention as ``precision``: only a non-default level is
-        # forwarded, so classes without an ``optimize`` keyword keep working.
-        simulator_kwargs["optimize"] = optimize
     # Validate backend-specific kwargs before the constructor runs, so a
     # mis-targeted kwarg raises the typed registry error (naming the
     # backends that do accept it) instead of the constructor's TypeError.

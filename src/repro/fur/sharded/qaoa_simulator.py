@@ -16,9 +16,9 @@ labor:
   pairwise *slab swaps* (NumPy copies instead of messages), the rotation
   runs on the now-local bit, and the inverse transposition restores the
   canonical order.  :class:`~repro.fur.sharded.layout.ShardLayout` tracks
-  the permutation; each exchange is coalesced across the whole batch (one
-  swap per shard pair per transposition, batch-size-independent — exactly
-  the shape the ``CoalesceExchanges`` rewrite models), with message counts
+  the permutation; every exchange swaps whole ``(rows, chunk)`` slabs for
+  the entire batch (one swap per shard pair per transposition, so the
+  message count does not depend on the batch size), with message counts
   and byte volume recorded into the engine's shard telemetry.
 
 The X mixer uses the Alltoall-style full transpose of Algorithm 4 (all
@@ -95,18 +95,15 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
     Implements the engine's :class:`~repro.fur.engine.KernelProvider`
     protocol over *lists of shard slabs* (``K`` arrays of shape
     ``(rows, 2^(n−g))``), like the MPI families — so fused batching,
-    plan rewrites, serve micro-batching and the parity harness apply
-    unchanged.
+    serve micro-batching and the parity harness apply unchanged.
     """
 
     backend_name = "sharded"
-    supports_staged_phase = True
-    supports_coalesced_exchange = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  n_shards: int | None = None, n_workers: int | None = None,
                  inner: str = "auto", block_size: int = DEFAULT_BLOCK_SIZE,
-                 precision: str = "double", optimize: str = "default") -> None:
+                 precision: str = "double") -> None:
         if n_qubits <= 0:
             raise ValueError(f"n_qubits must be positive, got {n_qubits}")
         self._n_shards = resolve_n_shards(
@@ -114,15 +111,11 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         self._g_global = self._n_shards.bit_length() - 1
         self._n_workers = resolve_n_workers(self._n_shards, n_workers)
         self._inner: InnerProvider = resolve_inner(inner)
-        if self._inner.name == "jit":
-            # instance-level: the rewrite cost model prices jit's fused
-            # kernels at ~2 streamed passes per mixer instead of one per qubit
-            self.supports_single_pass = True
         self._block_size = int(block_size)
         self._pool: ThreadPoolExecutor | None = None
         self._swap_buf: np.ndarray | None = None
         super().__init__(n_qubits, terms=terms, costs=costs,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     # -- construction --------------------------------------------------------
     @staticmethod
@@ -258,40 +251,28 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         b[...] = buf
         return a.nbytes
 
-    def _transpose_global_local(self, block: list[np.ndarray],
-                                coalesce: bool) -> None:
+    def _transpose_global_local(self, block: list[np.ndarray]) -> None:
         """Alltoall-style transposition of all ``g`` global qubits.
 
         Exchanges the shard-index bits with the top ``g`` local positions:
         ``new[d][:, s·chunk + low] = old[s][:, d·chunk + low]`` with
         ``chunk = local_states / K`` — a pairwise slab *swap* for every
-        unordered shard pair (diagonal slabs never move).  ``coalesce``
-        swaps whole ``(rows, chunk)`` slabs (``K(K−1)`` messages regardless
-        of the batch size); the per-row path models the uncoalesced
-        exchange (``rows · K(K−1)`` messages, identical bytes and results).
+        unordered shard pair (diagonal slabs never move).  Whole
+        ``(rows, chunk)`` slabs are swapped, so the exchange costs
+        ``K(K−1)`` messages regardless of the batch size.
         """
         k = self._n_shards
         if k <= 1:
             return
-        rows = block[0].shape[0]
         chunk = self.local_states // k
         messages = 0
         moved = 0
-        if coalesce:
-            for r in range(k):
-                for partner in range(r + 1, k):
-                    a = block[r][:, partner * chunk:(partner + 1) * chunk]
-                    b = block[partner][:, r * chunk:(r + 1) * chunk]
-                    moved += 2 * self._swap_views(a, b)
-                    messages += 2
-        else:
-            for i in range(rows):
-                for r in range(k):
-                    for partner in range(r + 1, k):
-                        a = block[r][i, partner * chunk:(partner + 1) * chunk]
-                        b = block[partner][i, r * chunk:(r + 1) * chunk]
-                        moved += 2 * self._swap_views(a, b)
-                        messages += 2
+        for r in range(k):
+            for partner in range(r + 1, k):
+                a = block[r][:, partner * chunk:(partner + 1) * chunk]
+                b = block[partner][:, r * chunk:(r + 1) * chunk]
+                moved += 2 * self._swap_views(a, b)
+                messages += 2
         n_local = self.n_local_qubits
         for j in range(self._g_global):
             self._layout.swap_positions(n_local - self._g_global + j,
@@ -299,7 +280,7 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
         self.engine.record_shard_exchange(messages, moved)
 
     def _exchange_global_bit(self, block: list[np.ndarray], global_bit: int,
-                             local_pos: int, coalesce: bool) -> None:
+                             local_pos: int) -> None:
         """Swap one shard-index bit with one local bit position.
 
         The index-bit swap of the cuStateVec strategy, generalized to an
@@ -321,13 +302,8 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
             gv = (r >> global_bit) & 1
             va = block[r].reshape(rows, outer, 2, inner_w)[:, :, 1 - gv, :]
             vb = block[partner].reshape(rows, outer, 2, inner_w)[:, :, gv, :]
-            if coalesce:
-                moved += 2 * self._swap_views(va, vb)
-                messages += 2
-            else:
-                for i in range(rows):
-                    moved += 2 * self._swap_views(va[i], vb[i])
-                    messages += 2
+            moved += 2 * self._swap_views(va, vb)
+            messages += 2
         self._layout.swap_positions(local_pos,
                                     self.n_local_qubits + global_bit)
         self.engine.record_shard_exchange(messages, moved)
@@ -354,45 +330,6 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
                      rows: int) -> list[np.ndarray]:
         """Materialize one ``(rows, local_states)`` slab per shard."""
         return self._stage_slabs(sv0, rows, self._n_shards)
-
-    def _stage_phase_block(self, gammas: np.ndarray,
-                           plan: Any) -> list[np.ndarray]:
-        """FoldInitialPhase staging: write ``exp(-i γ_r c)/√N`` per slab.
-
-        The norm is the *full-state* ``1/√2^n`` (a slab is a slice of the
-        global uniform superposition, not a state of its own); the
-        factor·norm products are formed exactly as the split path forms
-        them, so the staged slabs match it bitwise.
-        """
-        tables = plan.phase_tables
-        gammas = np.asarray(gammas, dtype=np.float64)
-        rows = gammas.shape[0]
-        dtype = self._precision.complex_dtype
-        norm = np.finfo(dtype).dtype.type(1.0 / np.sqrt(self._n_states))
-        width = self.local_states
-        block = [np.empty((rows, width), dtype=dtype)
-                 for _ in range(self._n_shards)]
-
-        def work(s: int) -> None:
-            table = None if tables is None else tables[s]
-            slab = block[s]
-            if table is not None:
-                factors = table.factors_batch(gammas, dtype=dtype)
-                factors *= norm
-                for r in range(rows):
-                    np.take(factors[r], table.inverse, out=slab[r])
-                return
-            costs = self._phase_cost_slices[s]
-            coeff = (-1j * gammas).astype(dtype)
-            cols = max(1, _EXPECTATION_CHUNK)
-            for c0 in range(0, width, cols):
-                c1 = min(c0 + cols, width)
-                factors = np.exp(coeff[:, None] * costs[c0:c1][None, :])
-                np.multiply(factors, norm, out=slab[:, c0:c1],
-                            casting="same_kind")
-
-        self._map_shards(work)
-        return block
 
     def _apply_phase_block(self, block: list[np.ndarray], gammas: np.ndarray,
                            plan: Any) -> None:
@@ -454,21 +391,14 @@ class _ShardedFURSimulatorBase(QAOAFastSimulatorBase):
 
     # -- mixer sweeps --------------------------------------------------------
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
-                           n_trotters: int, coalesce: bool) -> None:
+                           n_trotters: int) -> None:
         """One batched mixer application over the shard slabs."""
         raise NotImplementedError
 
     def _apply_mixer_block(self, block: list[np.ndarray], betas: np.ndarray,
                            n_trotters: int, scratch: Any) -> None:
         del scratch
-        self._apply_mixer_slabs(block, betas, n_trotters, coalesce=False)
-
-    def _apply_mixer_block_coalesced(self, block: list[np.ndarray],
-                                     betas: np.ndarray, n_trotters: int,
-                                     scratch: Any) -> None:
-        """Mixer sweep with batch-coalesced slab exchanges (CoalesceExchanges)."""
-        del scratch
-        self._apply_mixer_slabs(block, betas, n_trotters, coalesce=True)
+        self._apply_mixer_slabs(block, betas, n_trotters)
 
     # -- output methods ------------------------------------------------------
     def get_statevector(self, result: ShardedStateVector, *,
@@ -495,8 +425,6 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
     """Sharded transverse-field mixer: Algorithm-4 style full transposes."""
 
     mixer_name = "x"
-    supports_fused_phase_mixer = True
-    mixer_self_commutes = True
 
     @staticmethod
     def _max_global_qubits(n_qubits: int) -> int:
@@ -504,14 +432,14 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         return n_qubits // 2
 
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
-                           n_trotters: int, coalesce: bool,
+                           n_trotters: int,
                            phase: tuple[np.ndarray, Any] | None = None) -> None:
         """One batched X sweep: local inner sweep, then the global step.
 
         ``n_trotters`` is ignored (X-mixer factors commute exactly);
         ``phase=(gammas, tables)`` rides the per-shard dispatch of the local
-        sweep (the FusePhaseIntoMixer path — one pool dispatch instead of
-        two, each slab staying cache-hot between phase and first rotation).
+        sweep (the fused layer — one pool dispatch instead of two, each
+        slab staying cache-hot between phase and first rotation).
         """
         del n_trotters
         a_rows, b_rows = su2_x_rotation_batch(betas)
@@ -536,7 +464,7 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
         # relabel all g global qubits local, rotate them, relabel back
         g = self._g_global
         layout = self._layout
-        self._transpose_global_local(block, coalesce)
+        self._transpose_global_local(block)
         positions = [layout.position_of(n_local + j) for j in range(g)]
 
         def rotate(s: int) -> None:
@@ -545,15 +473,15 @@ class QAOAFURXSimulatorSharded(_ShardedFURSimulatorBase):
                                         self._workspaces[s])
 
         self._map_shards(rotate)
-        self._transpose_global_local(block, coalesce)
+        self._transpose_global_local(block)
         layout.assert_identity()
 
-    def _apply_phase_mixer_block(self, block: list[np.ndarray],
-                                 gammas: np.ndarray, betas: np.ndarray,
-                                 op: Any, scratch: Any, plan: Any) -> None:
-        """FusedPhaseMixerOp kernel: the phase rides the local sweep."""
+    def _apply_layer_block(self, block: list[np.ndarray], gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int, scratch: Any,
+                           plan: Any) -> None:
+        """Fused layer: the phase rides the local sweep."""
         del scratch
-        self._apply_mixer_slabs(block, betas, 1, coalesce=op.coalesce,
+        self._apply_mixer_slabs(block, betas, n_trotters,
                                 phase=(gammas, plan.phase_tables))
 
 
@@ -613,7 +541,7 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
         return steps
 
     def _apply_mixer_slabs(self, block: list[np.ndarray], betas: np.ndarray,
-                           n_trotters: int, coalesce: bool) -> None:
+                           n_trotters: int) -> None:
         rows = block[0].shape[0]
         betas_t = np.broadcast_to(
             np.asarray(betas, dtype=np.float64) / n_trotters, (rows,))
@@ -635,16 +563,14 @@ class _ShardedXYBase(_ShardedFURSimulatorBase):
                     continue
                 _, swaps, (pi, pj) = step
                 for global_bit, target in swaps:
-                    self._exchange_global_bit(block, global_bit, target,
-                                              coalesce)
+                    self._exchange_global_bit(block, global_bit, target)
 
                 def rotate(s: int) -> None:
                     apply_xy_su2_batch(block[s], a, b, pi, pj)
 
                 self._map_shards(rotate)
                 for global_bit, target in reversed(swaps):
-                    self._exchange_global_bit(block, global_bit, target,
-                                              coalesce)
+                    self._exchange_global_bit(block, global_bit, target)
             self._layout.assert_identity()
 
 

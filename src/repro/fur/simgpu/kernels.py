@@ -132,8 +132,8 @@ def device_furx_phase_all_batch(svb: DeviceArray, costs: DeviceArray,
                                 scratch: np.ndarray | None = None) -> DeviceArray:
     """Fused phase + transverse-field mixer over a device block.
 
-    The phase multiply rides the first mixer sweep (the FusePhaseIntoMixer
-    plan rewrite), so the modeled traffic is ``n`` read-modify-writes of the
+    The phase multiply rides the first mixer sweep (the provider's fused
+    layer), so the modeled traffic is ``n`` read-modify-writes of the
     block plus one diagonal read — one full block RMW and one kernel launch
     fewer than the split phase + mixer kernels.
     """

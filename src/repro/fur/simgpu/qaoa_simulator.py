@@ -55,12 +55,11 @@ class _QAOAFURGPUSimulatorBase(QAOAFastSimulatorBase):
                  device: SimulatedDevice | None = None,
                  device_spec: DeviceSpec = A100_80GB,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 precision: str = "double",
-                 optimize: str = "default") -> None:
+                 precision: str = "double") -> None:
         self._device = device if device is not None else SimulatedDevice(device_spec)
         self._block_size = int(block_size)
         super().__init__(n_qubits, terms=terms, costs=costs,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     # -- construction hooks ----------------------------------------------------
     def _precompute_diagonal(self, terms) -> np.ndarray:
@@ -217,17 +216,16 @@ class QAOAFURXSimulatorGPU(_QAOAFURGPUSimulatorBase):
 
     mixer_name = "x"
     _mixer_needs_scratch = True
-    supports_fused_phase_mixer = True
 
     def _apply_mixer_block(self, svb: DeviceArray, betas: np.ndarray,
                            n_trotters: int, scratch: np.ndarray | None) -> None:
         device_furx_all_batch(svb, betas, self._n_qubits, self._workspace,
                               scratch=scratch)
 
-    def _apply_phase_mixer_block(self, svb: DeviceArray, gammas: np.ndarray,
-                                 betas: np.ndarray, op: Any,
-                                 scratch: np.ndarray | None, plan: Any) -> None:
-        """FusedPhaseMixerOp kernel: one fewer block RMW on the device clock."""
+    def _apply_layer_block(self, svb: DeviceArray, gammas: np.ndarray,
+                           betas: np.ndarray, n_trotters: int,
+                           scratch: np.ndarray | None, plan: Any) -> None:
+        """Fused layer: one fewer block RMW on the device clock."""
         device_furx_phase_all_batch(svb, self._costs_device, gammas, betas,
                                     self._n_qubits, self._workspace,
                                     phase_table=plan.phase_tables,

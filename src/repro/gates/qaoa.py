@@ -101,8 +101,7 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
                  mixer: str | None = None, phase_strategy: str = "ladder",
                  dtype: np.dtype | type | None = None,
-                 precision: str | None = None,
-                 optimize: str = "default") -> None:
+                 precision: str | None = None) -> None:
         mixer = type(self).mixer_name if mixer is None else mixer
         if mixer not in _MIXER_COMPILERS:
             raise ValueError(f"unknown mixer {mixer!r}; choose from {sorted(_MIXER_COMPILERS)}")
@@ -122,7 +121,7 @@ class QAOAGateBasedSimulator(QAOAFastSimulatorBase):
         self.mixer_name = mixer
         self.phase_strategy = phase_strategy
         super().__init__(n_qubits, terms=terms, costs=costs,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     def layer_circuit(self, gamma: float, beta: float) -> QuantumCircuit:
         """The compiled circuit of a single QAOA layer (for gate-count studies)."""
@@ -208,8 +207,6 @@ class QAOAGateBasedXSimulator(QAOAGateBasedSimulator):
     """Gate-based QAOA with the transverse-field mixer (registry class)."""
 
     mixer_name = "x"
-    #: RX factors commute exactly — adjacent X mixers merge by angle addition
-    mixer_self_commutes = True
 
 
 class QAOAGateBasedXYRingSimulator(QAOAGateBasedSimulator):

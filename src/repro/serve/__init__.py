@@ -2,7 +2,7 @@
 
 The serving layer sits on top of the execution engine and converts
 *concurrency into batch size*: concurrent ``submit`` calls are routed by
-``(problem fingerprint, backend, mixer, precision, optimize, p)``, requests
+``(problem fingerprint, backend, mixer, precision, p)``, requests
 sharing a key accumulate for a short window and flush as one fused
 ``get_expectation_batch`` call, and exact-duplicate schedules are evaluated
 once with the value fanned out to every waiter.  Admission control (the

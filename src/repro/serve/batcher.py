@@ -3,7 +3,7 @@
 Every admitted request is routed to exactly one :class:`KeyBatcher` by its
 :class:`RouteKey` — the tuple under which evaluations may legally share one
 fused engine call: same problem fingerprint (hence the same precomputed
-diagonal), same backend/mixer/precision/optimize (hence the same simulator
+diagonal), same backend/mixer/precision (hence the same simulator
 and compiled plan) and same depth ``p`` (batched angle arrays are ``(B, p)``
 shaped, so mixed depths can never ride one batch).  Mixed-key traffic
 therefore *cannot* cross-batch by construction.
@@ -53,7 +53,6 @@ class RouteKey:
     backend: str
     mixer: str
     precision: str
-    optimize: str
     p: int
 
 

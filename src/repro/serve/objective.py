@@ -38,7 +38,7 @@ class ServedQAOAObjective(EvaluationBookkeepingMixin):
     """Callable QAOA expectation objective evaluated through a service.
 
     Construct via :meth:`repro.serve.QAOAService.objective`.  Routing
-    overrides (``backend``, ``mixer``, ``precision``, ``optimize``) default
+    overrides (``backend``, ``mixer``, ``precision``) default
     to the service's own defaults when ``None``; ``timeout`` bounds each
     blocking evaluation.
     """
@@ -50,7 +50,6 @@ class ServedQAOAObjective(EvaluationBookkeepingMixin):
     backend: str | None = None
     mixer: str | None = None
     precision: str | None = None
-    optimize: str | None = None
     timeout: float | None = None
     #: running statistics (see EvaluationBookkeepingMixin)
     n_evaluations: int = 0
@@ -64,7 +63,7 @@ class ServedQAOAObjective(EvaluationBookkeepingMixin):
 
     def _routing_kwargs(self) -> dict:
         return {"backend": self.backend, "mixer": self.mixer,
-                "precision": self.precision, "optimize": self.optimize}
+                "precision": self.precision}
 
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, gammas, betas) -> float:

@@ -8,7 +8,7 @@ engine.  The service instead:
 
 1. **routes** each ``submit(n_qubits, terms, γ, β)`` to a
    :class:`~repro.serve.batcher.RouteKey` — ``(problem fingerprint,
-   backend, mixer, precision, optimize, p)``;
+   backend, mixer, precision, p)``;
 2. **micro-batches** per key: requests accumulate for ``window_ms`` (or
    until ``max_batch``), then flush as *one* fused
    ``get_expectation_batch`` call on a shared simulator;
@@ -50,7 +50,6 @@ from ..fur.cache import problem_fingerprint
 from ..fur.capabilities import UnsupportedCapabilityError
 from ..fur.precision import resolve_precision
 from ..fur.registry import registry, simulator as construct_simulator
-from ..fur.rewrite import resolve_optimize
 from ..problems.terms import validate_terms
 from .admission import (
     AdmissionController,
@@ -90,7 +89,7 @@ class QAOAService:
 
     Parameters
     ----------
-    backend, mixer, precision, optimize:
+    backend, mixer, precision:
         Default routing for submissions that don't override them per call.
         ``backend`` may be ``"auto"`` — it is resolved to a concrete
         registry name at submit time, so ``"auto"`` and the backend it
@@ -127,7 +126,7 @@ class QAOAService:
     """
 
     def __init__(self, *, backend: str = "auto", mixer: str = "x",
-                 precision: str | None = None, optimize: str | None = None,
+                 precision: str | None = None,
                  window_ms: float = DEFAULT_WINDOW_MS,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_pending: int = DEFAULT_MAX_PENDING,
@@ -146,7 +145,6 @@ class QAOAService:
         self._default_backend = backend
         self._default_mixer = mixer
         self._default_precision = resolve_precision(precision).name
-        self._default_optimize = resolve_optimize(optimize or "default")
         self._window_s = float(window_ms) / 1e3
         self._max_batch = int(max_batch)
         self._memory_budget = memory_budget
@@ -180,7 +178,6 @@ class QAOAService:
             "backend": self._default_backend,
             "mixer": self._default_mixer,
             "precision": self._default_precision,
-            "optimize": self._default_optimize,
             "window_ms": self._window_s * 1e3,
             "max_batch": self._max_batch,
             "max_pending": self._admission.max_pending,
@@ -254,7 +251,7 @@ class QAOAService:
                terms: Iterable[tuple[float, Iterable[int]]],
                gammas: Sequence[float], betas: Sequence[float],
                backend: str | None, mixer: str | None,
-               precision: str | None, optimize: str | None
+               precision: str | None
                ) -> tuple[RouteKey, np.ndarray, np.ndarray]:
         """Validate a submission and compute its routing key (synchronous).
 
@@ -265,8 +262,6 @@ class QAOAService:
         mixer = mixer or self._default_mixer
         precision_name = (self._default_precision if precision is None
                           else resolve_precision(precision).name)
-        optimize_name = (self._default_optimize if optimize is None
-                         else resolve_optimize(optimize))
         # Resolve "auto" (and aliases) to the canonical registry name so
         # equivalent spellings share routing keys — and hence batches.  The
         # service only ever issues expectation requests, so an
@@ -286,8 +281,7 @@ class QAOAService:
         self._problems.setdefault(fingerprint, normalized)
         key = RouteKey(fingerprint=fingerprint, n_qubits=int(n_qubits),
                        backend=spec.name, mixer=mixer,
-                       precision=precision_name, optimize=optimize_name,
-                       p=int(g.shape[0]))
+                       precision=precision_name, p=int(g.shape[0]))
         return key, g, b
 
     # -- async submission path ----------------------------------------------
@@ -317,12 +311,11 @@ class QAOAService:
                      terms: Iterable[tuple[float, Iterable[int]]],
                      gammas: Sequence[float], betas: Sequence[float], *,
                      backend: str | None = None, mixer: str | None = None,
-                     precision: str | None = None,
-                     optimize: str | None = None) -> float:
+                     precision: str | None = None) -> float:
         """Submit one expectation-value request; awaits the served value.
 
         The request is routed by ``(problem fingerprint, backend, mixer,
-        precision, optimize, p)`` and rides that key's next micro-batch;
+        precision, p)`` and rides that key's next micro-batch;
         an exact duplicate of an already-queued request shares its
         evaluation.  Raises
         :class:`~repro.serve.admission.AdmissionError` (unservable),
@@ -335,7 +328,7 @@ class QAOAService:
         loop = self._ensure_loop_state()
         try:
             key, g, b = self._route(n_qubits, terms, gammas, betas,
-                                    backend, mixer, precision, optimize)
+                                    backend, mixer, precision)
         except (AdmissionError, UnsupportedCapabilityError):
             self._stats.record_rejected()
             raise
@@ -379,8 +372,7 @@ class QAOAService:
         engine_stats = sim.engine.stats
         before = (engine_stats.shard_exchanges, engine_stats.exchange_bytes)
         result = sim.get_expectation_batch(gammas, betas,
-                                           memory_budget=self._memory_budget,
-                                           optimize=key.optimize)
+                                           memory_budget=self._memory_budget)
         # Shard telemetry: fold this flush's slab-exchange traffic into the
         # service counters (zero on monolithic-state backends).
         self._stats.record_shard_traffic(
@@ -407,8 +399,7 @@ class QAOAService:
             extra["n_shards"] = self._n_shards
         sim = construct_simulator(key.n_qubits, terms=terms,
                                   backend=key.backend, mixer=key.mixer,
-                                  precision=key.precision,
-                                  optimize=key.optimize, **extra)
+                                  precision=key.precision, **extra)
         with self._sim_lock:
             existing = self._simulators.get(key)
             if existing is not None:  # racing flush won; keep its simulator

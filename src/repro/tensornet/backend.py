@@ -15,12 +15,11 @@ amplitudes of the evolved circuit against the cost diagonal — exponential in
 ``n`` by construction (this backend exists for cross-checking and for the
 paper's Fig. 3 scaling story, not for large problems).
 
-Engine integration records the op stream *symbolically*: the kernel-provider
-block is a per-row log of phase/mixer angle columns, and the whole
-contraction cost is paid in the final ``_block_expectations`` reduction.  The
-plan-rewrite passes still apply (zero-angle elimination, commuting merges —
-the X mixer is exact under angle addition), shrinking the circuit that gets
-contracted.  One greedy contraction order is computed per row and reused for
+Engine integration records the layer walk *symbolically*: the
+kernel-provider block is a per-row log of phase/mixer angle columns (the
+base class's ``_apply_layer_block`` composes the two recording primitives),
+and the whole contraction cost is paid in the final ``_block_expectations``
+reduction.  One greedy contraction order is computed per row and reused for
 all ``2^n`` output bitstrings, whose networks share the same index structure.
 """
 
@@ -76,12 +75,9 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
     backend_name = "tensornet"
     capability_tier = "expectation-only"
     mixer_name = "x"
-    #: the X mixer is exact under angle addition, so the ReorderCommuting
-    #: merge shrinks the contracted circuit without changing the amplitude
-    mixer_self_commutes = True
 
     def __init__(self, n_qubits: int, terms=None, costs=None, *,
-                 precision: str = "double", optimize: str = "default",
+                 precision: str = "double",
                  width_heuristic: str = "min_degree") -> None:
         if terms is None:
             raise ValueError(
@@ -90,7 +86,7 @@ class QAOATensorNetworkSimulator(QAOAFastSimulatorBase):
             )
         self._tn = TensorNetworkSimulator(width_heuristic=width_heuristic)
         super().__init__(n_qubits, terms=terms, costs=costs,
-                         precision=precision, optimize=optimize)
+                         precision=precision)
 
     # -- circuit assembly -----------------------------------------------------
     def _layer_circuits(self, events: Sequence[tuple[str, float]]) -> QuantumCircuit:

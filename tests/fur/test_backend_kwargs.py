@@ -67,11 +67,17 @@ class TestValidKwargsStillBind:
         repro.simulator(6, terms=TERMS, backend="gates",
                         phase_strategy="ladder")
 
-    def test_precision_and_optimize_for_every_backend(self):
+    def test_precision_for_every_backend(self):
         for backend in ("python", "c", "jit", "sharded", "gates"):
             sim = repro.simulator(6, terms=TERMS, backend=backend,
-                                  precision="single", optimize="none")
+                                  precision="single")
             assert sim.precision == "single"
+
+    def test_optimize_is_not_a_constructor_kwarg(self):
+        # No backend constructor takes ``optimize`` (every backend runs the
+        # one layer walk), so the facade rejects it like any unknown kwarg.
+        with pytest.raises(UnsupportedBackendKwargError, match="optimize"):
+            repro.simulator(6, terms=TERMS, optimize="none")
 
 
 class TestRegistryMetadata:

@@ -188,3 +188,29 @@ class TestMemoryAccounting:
     def test_memory_bytes(self):
         assert D.diagonal_memory_bytes(10) == 1024 * 8
         assert D.diagonal_memory_bytes(10, np.uint16) == 1024 * 2
+
+
+class TestPhaseTable:
+    def test_gather_matches_direct_exponential(self):
+        costs = D.precompute_cost_diagonal(labs.get_terms(8), 8)
+        table = D.build_phase_table(costs)
+        assert table is not None
+        want = np.exp(-1j * 0.37 * costs)
+        np.testing.assert_allclose(table.phases(0.37), want, atol=1e-13)
+        out = np.empty(costs.size, dtype=np.complex128)
+        assert table.phases(0.37, out=out) is out
+        np.testing.assert_allclose(out, want, atol=1e-13)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_hand_built_table_with_out_of_range_inverse_fails(self, bad):
+        # The kernels gather with mode="clip", so the range check happens
+        # once, when the table is made.
+        with pytest.raises(ValueError, match="inverse"):
+            D.DiagonalPhaseTable(unique_values=np.array([0.0, 1.0, 2.0]),
+                                 inverse=np.array([0, 1, bad], dtype=np.intp))
+
+    def test_hand_built_valid_table(self):
+        table = D.DiagonalPhaseTable(unique_values=np.array([0.0, 2.0]),
+                                     inverse=np.array([1, 0, 1], dtype=np.intp))
+        np.testing.assert_allclose(table.phases(0.5),
+                                   np.exp(-1j * 0.5 * np.array([2.0, 0.0, 2.0])))

@@ -346,13 +346,21 @@ class TestRegistryIntegration:
         assert "kernel_compile_time_s" in stats
         assert stats["kernel_compile_time_s"] >= 0.0
 
-    def test_single_pass_flag_only_on_x_mixer(self):
+    def test_fused_layer_hooks(self):
+        from repro.fur.base import QAOAFastSimulatorBase as Base
         from repro.fur.jit import (
             QAOAFURXSimulatorJIT,
             QAOAFURXYCompleteSimulatorJIT,
             QAOAFURXYRingSimulatorJIT,
         )
 
-        assert QAOAFURXSimulatorJIT.supports_single_pass
-        assert not QAOAFURXYRingSimulatorJIT.supports_single_pass
-        assert not QAOAFURXYCompleteSimulatorJIT.supports_single_pass
+        # every jit mixer fuses the phase into its layer kernel; only the X
+        # mixer also fuses the reduction into the last sweep
+        for cls in (QAOAFURXSimulatorJIT, QAOAFURXYRingSimulatorJIT,
+                    QAOAFURXYCompleteSimulatorJIT):
+            assert cls._apply_layer_block is not Base._apply_layer_block
+        assert (QAOAFURXSimulatorJIT._apply_last_layer_expectations
+                is not Base._apply_last_layer_expectations)
+        for cls in (QAOAFURXYRingSimulatorJIT, QAOAFURXYCompleteSimulatorJIT):
+            assert (cls._apply_last_layer_expectations
+                    is Base._apply_last_layer_expectations)

@@ -9,7 +9,8 @@ Covers
   independent complex128 reference of :mod:`repro.testing`,
 * the pinned numerical policy: expectations accumulate in float64 and stay
   within the 1e-5 relative error envelope of double precision on the Fig. 2
-  MaxCut workload,
+  MaxCut workload, and within a per-depth bound on deep (p up to 256)
+  LABS circuits,
 * memory accounting: ``batch_block_rows`` and the simulated device both fit
   twice the rows at single precision,
 * regressions: a caller-supplied complex64 ``sv0`` is honoured (not upcast),
@@ -247,6 +248,40 @@ class TestNumericalPolicy:
         theta = np.concatenate([gammas, betas])
         ref = get_qaoa_objective(n, len(gammas), terms=terms, backend="c")
         assert obj(theta) == pytest.approx(ref(theta), rel=SINGLE_RTOL, abs=SINGLE_RTOL)
+
+
+#: Single-vs-double relative error bound per depth on deep LABS circuits
+#: (n=14, angles in [0, 0.2]).  The worst relative error measured over
+#: batches of four schedules (several seeds) was about 2.5e-6 at p=6,
+#: 6.9e-6 at p=64 and 2e-5 at p=256 (python, c and jit alike); each bound
+#: leaves at least 2.5x headroom.
+#: The error grows with depth, so the p<=6 envelope of 1e-5 does not hold
+#: at p=256.
+DEEP_P_RTOL = {6: 1e-5, 64: 2e-5, 256: 5e-5}
+
+
+class TestDeepCircuitSinglePrecision:
+    """Single precision against double as the depth reaches the hundreds."""
+
+    @pytest.fixture(scope="class")
+    def labs14(self):
+        from repro.problems import labs
+
+        return labs.get_terms(14)
+
+    @pytest.mark.parametrize("backend", ["python", "jit"])
+    @pytest.mark.parametrize("p", sorted(DEEP_P_RTOL))
+    def test_relative_error_bound(self, backend, p, labs14):
+        rng = np.random.default_rng(p)
+        gb = rng.uniform(0.0, 0.2, (4, p))
+        bb = rng.uniform(0.0, 0.2, (4, p))
+        double = repro.simulator(14, terms=labs14, backend=backend)
+        single = repro.simulator(14, terms=labs14, backend=backend,
+                                 precision="single")
+        e_double = double.get_expectation_batch(gb, bb)
+        e_single = single.get_expectation_batch(gb, bb)
+        rel = np.max(np.abs(e_single - e_double) / np.abs(e_double))
+        assert rel <= DEEP_P_RTOL[p]
 
 
 class TestFusedLoopedParitySingle:

@@ -215,7 +215,6 @@ class TestShardedSimulation:
         assert sim.n_local_qubits == 4
         assert sim.n_shard_workers == 2
         assert sim.inner_name == "c"
-        assert sim.supports_coalesced_exchange
 
 
 class TestPerShardAdmission:
@@ -250,12 +249,12 @@ class TestPerShardAdmission:
         guard = (1 << n) * 16 - 1
         svc = QAOAService(backend="sharded", n_shards=4)
         svc._admission.max_state_bytes = guard
-        key, _, _ = svc._route(n, TERMS, [0.1], [0.2], None, None, None, None)
+        key, _, _ = svc._route(n, TERMS, [0.1], [0.2], None, None, None)
         assert key.backend == "sharded"
         mono = QAOAService(backend="c")
         mono._admission.max_state_bytes = guard
         with pytest.raises(AdmissionError, match="rejecting"):
-            mono._route(n, TERMS, [0.1], [0.2], None, None, None, None)
+            mono._route(n, TERMS, [0.1], [0.2], None, None, None)
 
     def test_service_rejects_invalid_shard_knob(self):
         from repro.serve import QAOAService
@@ -263,7 +262,7 @@ class TestPerShardAdmission:
 
         svc = QAOAService(backend="sharded", n_shards=3)
         with pytest.raises(AdmissionError, match="power of two"):
-            svc._route(6, TERMS, [0.1], [0.2], None, None, None, None)
+            svc._route(6, TERMS, [0.1], [0.2], None, None, None)
 
 
 class TestServeShardTelemetry:
@@ -295,24 +294,3 @@ class TestServeShardTelemetry:
         assert "sharded" in text
         assert "shards=" in text and "inner=" in text
 
-
-class TestCostModelShardPricing:
-    def test_exchange_priced_only_with_shards(self):
-        from repro.fur.costmodel import PlanCostModel
-
-        mono = PlanCostModel(10)
-        assert mono.exchange_bytes() == 0
-        sharded = PlanCostModel(10, n_shards=4, coalesced_exchange=True)
-        assert sharded.exchange_bytes() > 0
-        # the per-row path pays more message overhead at equal byte volume
-        per_row = PlanCostModel(10, n_shards=4, coalesced_exchange=False)
-        assert per_row.exchange_bytes() > sharded.exchange_bytes()
-
-    def test_worker_split_reduces_compute_price(self):
-        from repro.fur.costmodel import PlanCostModel
-        from repro.fur.rewrite import MixerOp
-
-        op = MixerOp(layer=0, n_trotters=1)
-        solo = PlanCostModel(10)
-        pooled = PlanCostModel(10, n_workers=4)
-        assert pooled.op_bytes(op) < solo.op_bytes(op)

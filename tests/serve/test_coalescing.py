@@ -143,7 +143,7 @@ class TestRouteKeyHygiene:
     def test_route_key_is_hashable_and_frozen(self):
         key = repro.serve.RouteKey(fingerprint="abc", n_qubits=4,
                                    backend="python", mixer="x",
-                                   precision="double", optimize="default", p=2)
+                                   precision="double", p=2)
         assert key in {key}
         with pytest.raises(dataclasses.FrozenInstanceError):
             key.p = 3

@@ -101,18 +101,18 @@ class TestCapabilityRouting:
 class TestRouting:
     def test_equivalent_spellings_share_routing_key(self):
         svc = QAOAService(backend="python")
-        key1, _, _ = svc._route(N, TERMS, GAMMAS, BETAS, None, None, None, None)
+        key1, _, _ = svc._route(N, TERMS, GAMMAS, BETAS, None, None, None)
         # alias + explicit defaults must land on the same key
         key2, _, _ = svc._route(N, list(TERMS), GAMMAS, BETAS, "numpy", "x",
-                                "double", "default")
+                                "double")
         assert key1 == key2
         svc.close()
 
     def test_depth_is_part_of_the_key(self):
         svc = QAOAService(backend="python")
-        key1, _, _ = svc._route(N, TERMS, [0.1], [0.2], None, None, None, None)
+        key1, _, _ = svc._route(N, TERMS, [0.1], [0.2], None, None, None)
         key2, _, _ = svc._route(N, TERMS, [0.1, 0.1], [0.2, 0.2],
-                                None, None, None, None)
+                                None, None, None)
         assert key1.p == 1 and key2.p == 2 and key1 != key2
         svc.close()
 
@@ -207,7 +207,7 @@ class TestAdmission:
         # budget for ~4 rows of 2^8 complex128 with the ping-pong factor
         budget = 4 * 2 * (1 << N) * 16
         svc = QAOAService(backend="python", max_batch=64, memory_budget=budget)
-        key, _, _ = svc._route(N, TERMS, GAMMAS, BETAS, None, None, None, None)
+        key, _, _ = svc._route(N, TERMS, GAMMAS, BETAS, None, None, None)
         assert svc._batcher_for(key).max_batch == 4
         svc.close()
 
